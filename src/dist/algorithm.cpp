@@ -1,27 +1,24 @@
 #include "dist/algorithm.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "dist/families.hpp"
-#include "dist/replication_cache.hpp"
+#include "dist/engine.hpp"
 #include "dist/grid.hpp"
 #include "dist/problem.hpp"
 #include "local/sddmm.hpp"
 #include "local/spmm.hpp"
 #include "runtime/checkpoint.hpp"
-#include "runtime/collectives.hpp"
 #include "runtime/world.hpp"
 
 namespace dsk {
 
 WireCodec effective_wire_codec(const AlgorithmOptions& options,
-                               const ExecContext& ctx) {
+                               const ExecuteOptions& exec) {
   WireCodec codec{options.wire_precision, options.index_codec};
-  if (ctx.wire_precision) codec.precision = *ctx.wire_precision;
-  if (ctx.index_codec) codec.index_codec = *ctx.index_codec;
+  if (exec.wire_precision) codec.precision = *exec.wire_precision;
+  if (exec.index_codec) codec.index_codec = *exec.index_codec;
   return codec;
 }
 
@@ -65,27 +62,26 @@ bool degrade_armed(const AlgorithmOptions& options) {
          options.faults->enabled() && !options.faults->crashes.empty();
 }
 
-/// The shrunken world runs fault-free: the dead rank is gone from the
-/// new grid, and replaying the crash plan against renumbered ranks would
-/// be meaningless.
-AlgorithmOptions degraded_options(const AlgorithmOptions& options) {
-  AlgorithmOptions out = options;
-  out.faults = nullptr;
-  out.degrade = false;
-  return out;
+/// Rows of the op's dense output: A-shaped (m) or B-shaped (n).
+Index output_rows(const detail::Op& op, const CooMatrix& s) {
+  const bool b_shaped = op.fused ? op.orientation == FusedOrientation::B
+                                 : op.mode == Mode::SpMMB;
+  return b_shaped ? s.cols() : s.rows();
 }
 
-/// Restore the sparse input through the digest-verified stable store —
-/// the degraded re-plan must not trust memory a crashed world touched.
-CooMatrix checkpointed_input(const CooMatrix& s, CheckpointStore& inputs) {
-  inputs.restore(0);
-  CooMatrix healed = s;
-  const auto& values = inputs.values(0);
-  std::copy(values.begin(), values.end(), healed.values().begin());
-  return healed;
+const PlanData* required_plan(const ExecContext& ctx, AlgorithmKind kind) {
+  check(ctx.plan != nullptr, to_string(kind),
+        ": ExecContext carries no plan; build one with make_plan_data");
+  return ctx.plan;
 }
 
 } // namespace
+
+/// Snapshot builds made by one call, counted where they happen.
+struct DistAlgorithm::SetupTally {
+  int builds = 0;
+  double seconds = 0.0;
+};
 
 std::shared_ptr<const PlanData> DistAlgorithm::make_plan_data(
     const CooMatrix& s, Index r) const {
@@ -96,73 +92,133 @@ std::shared_ptr<const PlanData> DistAlgorithm::make_plan_data(
   return do_make_plan(s, r);
 }
 
+std::shared_ptr<const PlanData> DistAlgorithm::build_plan(
+    const CooMatrix& s, Index r, SetupTally& tally) const {
+  Timer timer;
+  auto plan = do_make_plan(s, r);
+  tally.builds += 1;
+  tally.seconds += timer.seconds();
+  return plan;
+}
+
+/// FusedMM-B under LocalKernelFusion fuses along full rows of the
+/// B-shaped output, which is the transposed problem: FusedMMB(S, A, B) =
+/// FusedMMA(S^T, B, A). Its snapshot is built on the first such call
+/// against `plan` and kept there; call_once makes concurrent executes of
+/// a shared Plan build it exactly once (and only the builder counts it).
+const PlanData& DistAlgorithm::transposed_plan(const PlanData& plan,
+                                               const CooMatrix& s, Index r,
+                                               SetupTally& tally) const {
+  std::call_once(plan.transposed_once_, [&] {
+    Timer timer;
+    CooMatrix st = s.transposed();
+    st.sort_and_combine();
+    plan.transposed_ = do_make_plan(st, r);
+    tally.builds += 1;
+    tally.seconds += timer.seconds();
+  });
+  return *plan.transposed_;
+}
+
+KernelResult DistAlgorithm::run(const detail::Op& op, const PlanData* plan,
+                                const ExecuteOptions& exec,
+                                const CooMatrix& s, const DenseMatrix& a,
+                                const DenseMatrix& b) const {
+  if (op.fused) {
+    check(supports(op.elision), to_string(kind_), " does not support ",
+          to_string(op.elision));
+    check(op.repetitions >= 1,
+          "run_fusedmm: repetitions must be positive, got ",
+          op.repetitions);
+  }
+  validate_inputs(*this, s, a, b);
+  SetupTally tally;
+  std::shared_ptr<const PlanData> fresh;
+  if (plan == nullptr) {
+    fresh = build_plan(s, a.cols(), tally);
+    plan = fresh.get();
+  }
+  // Degradation restores the sparse input through the digest-verified
+  // stable store — the re-plan must not trust memory a crashed world
+  // touched — so the values are checkpointed before the world runs.
+  std::optional<CheckpointStore> inputs;
+  if (degrade_armed(options_)) {
+    inputs.emplace(1);
+    inputs->save_shard(0, std::vector<Scalar>(s.values().begin(),
+                                              s.values().end()));
+  }
+  KernelResult out;
+  if (!op.fused && op.mode == Mode::SDDMM) {
+    out.sddmm_values.assign(static_cast<std::size_t>(s.nnz()), Scalar{0});
+  } else {
+    out.dense = DenseMatrix(output_rows(op, s), a.cols());
+  }
+  try {
+    if (op.fused && op.elision == Elision::LocalKernelFusion &&
+        op.orientation == FusedOrientation::B) {
+      detail::Op transposed = op;
+      transposed.orientation = FusedOrientation::A;
+      out.stats = run_op(transposed,
+                         transposed_plan(*plan, s, a.cols(), tally), exec,
+                         b, a, out);
+    } else {
+      out.stats = run_op(op, *plan, exec, a, b, out);
+    }
+  } catch (const WorldError& e) {
+    if (!inputs || e.crash().rank < 0) throw;
+    // shrink_and_replan: the crashed rank is permanently lost; re-shard
+    // the padded problem onto the largest valid surviving grid and
+    // re-run from the checkpointed inputs. The shrunken world runs
+    // fault-free: the dead rank is gone from the new grid, and replaying
+    // the crash plan against renumbered ranks would be meaningless.
+    // Per-call codec overrides would be lost across the re-plan, so the
+    // effective codec is baked into the degraded driver's options.
+    const auto [p2, c2] = shrink_config(kind_, p_, c_);
+    inputs->restore(0);
+    CooMatrix healed = s;
+    const auto& values = inputs->values(0);
+    std::copy(values.begin(), values.end(), healed.values().begin());
+    AlgorithmOptions dopts = options_;
+    dopts.faults = nullptr;
+    dopts.degrade = false;
+    const WireCodec wc = effective_wire_codec(options_, exec);
+    dopts.wire_precision = wc.precision;
+    dopts.index_codec = wc.index_codec;
+    const auto sub = make_algorithm(kind_, p2, c2, dopts);
+    const PaddedProblem padded = pad_problem(kind_, p2, c2, healed, a, b);
+    out = sub->run(op, nullptr, {}, padded.s, padded.a, padded.b);
+    if (!op.fused && op.mode == Mode::SDDMM) {
+      // Padding adds no nonzeros, so the SDDMM values come back in the
+      // original entry order already.
+      check(out.sddmm_values.size() == static_cast<std::size_t>(s.nnz()),
+            "degraded SDDMM returned ", out.sddmm_values.size(),
+            " values for ", s.nnz(), " nonzeros");
+    } else {
+      out.dense = unpad_dense(out.dense, output_rows(op, s), a.cols());
+    }
+    out.stats.set_degradation(e.crash().rank, p_, p2);
+  }
+  // A degraded re-plan is reported through the degradation fields; the
+  // setup builds are this call's own.
+  out.stats.set_setup(tally.builds, tally.seconds);
+  return out;
+}
+
 KernelResult DistAlgorithm::run_kernel(Mode mode, const CooMatrix& s,
                                        const DenseMatrix& a,
                                        const DenseMatrix& b) const {
-  validate_inputs(*this, s, a, b);
-  Timer timer;
-  const auto plan = do_make_plan(s, a.cols());
-  const double setup_seconds = timer.seconds();
-  ExecContext ctx;
-  ctx.plan = plan.get();
-  KernelResult out = run_planned_kernel(ctx, mode, s, a, b);
-  out.stats.set_setup(1, setup_seconds);
-  return out;
+  detail::Op op;
+  op.mode = mode;
+  return run(op, nullptr, {}, s, a, b);
 }
 
 KernelResult DistAlgorithm::run_kernel(const ExecContext& ctx, Mode mode,
                                        const CooMatrix& s,
                                        const DenseMatrix& a,
                                        const DenseMatrix& b) const {
-  check(ctx.plan != nullptr, to_string(kind_),
-        ": ExecContext carries no plan; build one with make_plan_data");
-  validate_inputs(*this, s, a, b);
-  KernelResult out = run_planned_kernel(ctx, mode, s, a, b);
-  out.stats.set_setup(0, 0.0);
-  return out;
-}
-
-KernelResult DistAlgorithm::run_planned_kernel(const ExecContext& ctx,
-                                               Mode mode, const CooMatrix& s,
-                                               const DenseMatrix& a,
-                                               const DenseMatrix& b) const {
-  if (!degrade_armed(options_)) return do_run_kernel(ctx, mode, s, a, b);
-  CheckpointStore inputs(1);
-  inputs.save_shard(0, std::vector<Scalar>(s.values().begin(),
-                                           s.values().end()));
-  try {
-    return do_run_kernel(ctx, mode, s, a, b);
-  } catch (const WorldError& e) {
-    if (e.crash().rank < 0) throw;
-    // shrink_and_replan: the crashed rank is permanently lost; re-shard
-    // the padded problem onto the largest valid surviving grid and
-    // re-run from the checkpointed inputs.
-    const auto [p2, c2] = shrink_config(kind_, p_, c_);
-    const CooMatrix healed = checkpointed_input(s, inputs);
-    // Per-call codec overrides would be lost across the re-plan; bake
-    // the effective codec into the degraded driver's options instead.
-    AlgorithmOptions dopts = degraded_options(options_);
-    const WireCodec wc = effective_wire_codec(options_, ctx);
-    dopts.wire_precision = wc.precision;
-    dopts.index_codec = wc.index_codec;
-    const auto sub = make_algorithm(kind_, p2, c2, dopts);
-    const PaddedProblem padded = pad_problem(kind_, p2, c2, healed, a, b);
-    KernelResult out = sub->run_kernel(mode, padded.s, padded.a, padded.b);
-    if (mode == Mode::SpMMA) {
-      out.dense = unpad_dense(out.dense, s.rows(), a.cols());
-    } else if (mode == Mode::SpMMB) {
-      out.dense = unpad_dense(out.dense, s.cols(), a.cols());
-    } else {
-      // Padding adds no nonzeros, so the SDDMM values come back in the
-      // original entry order already.
-      check(out.sddmm_values.size() ==
-                static_cast<std::size_t>(s.nnz()),
-            "degraded SDDMM returned ", out.sddmm_values.size(),
-            " values for ", s.nnz(), " nonzeros");
-    }
-    out.stats.set_degradation(e.crash().rank, p_, p2);
-    return out;
-  }
+  detail::Op op;
+  op.mode = mode;
+  return run(op, required_plan(ctx, kind_), ctx.exec, s, a, b);
 }
 
 FusedResult DistAlgorithm::run_fusedmm(FusedOrientation orientation,
@@ -170,20 +226,9 @@ FusedResult DistAlgorithm::run_fusedmm(FusedOrientation orientation,
                                        const DenseMatrix& a,
                                        const DenseMatrix& b,
                                        int repetitions) const {
-  check(supports(elision), to_string(kind_), " does not support ",
-        to_string(elision));
-  check(repetitions >= 1, "run_fusedmm: repetitions must be positive, got ",
-        repetitions);
-  validate_inputs(*this, s, a, b);
-  Timer timer;
-  const auto plan = do_make_plan(s, a.cols());
-  const double setup_seconds = timer.seconds();
-  ExecContext ctx;
-  ctx.plan = plan.get();
-  FusedResult out =
-      run_planned_fusedmm(ctx, orientation, elision, s, a, b, repetitions);
-  out.stats.set_setup(1, setup_seconds);
-  return out;
+  detail::Op op{true, Mode::SDDMM, orientation, elision, repetitions};
+  KernelResult out = run(op, nullptr, {}, s, a, b);
+  return {std::move(out.dense), std::move(out.stats)};
 }
 
 FusedResult DistAlgorithm::run_fusedmm(const ExecContext& ctx,
@@ -192,49 +237,9 @@ FusedResult DistAlgorithm::run_fusedmm(const ExecContext& ctx,
                                        const DenseMatrix& a,
                                        const DenseMatrix& b,
                                        int repetitions) const {
-  check(ctx.plan != nullptr, to_string(kind_),
-        ": ExecContext carries no plan; build one with make_plan_data");
-  check(supports(elision), to_string(kind_), " does not support ",
-        to_string(elision));
-  check(repetitions >= 1, "run_fusedmm: repetitions must be positive, got ",
-        repetitions);
-  validate_inputs(*this, s, a, b);
-  FusedResult out =
-      run_planned_fusedmm(ctx, orientation, elision, s, a, b, repetitions);
-  out.stats.set_setup(0, 0.0);
-  return out;
-}
-
-FusedResult DistAlgorithm::run_planned_fusedmm(
-    const ExecContext& ctx, FusedOrientation orientation, Elision elision,
-    const CooMatrix& s, const DenseMatrix& a, const DenseMatrix& b,
-    int repetitions) const {
-  if (!degrade_armed(options_)) {
-    return do_run_fusedmm(ctx, orientation, elision, s, a, b, repetitions);
-  }
-  CheckpointStore inputs(1);
-  inputs.save_shard(0, std::vector<Scalar>(s.values().begin(),
-                                           s.values().end()));
-  try {
-    return do_run_fusedmm(ctx, orientation, elision, s, a, b, repetitions);
-  } catch (const WorldError& e) {
-    if (e.crash().rank < 0) throw;
-    const auto [p2, c2] = shrink_config(kind_, p_, c_);
-    const CooMatrix healed = checkpointed_input(s, inputs);
-    AlgorithmOptions dopts = degraded_options(options_);
-    const WireCodec wc = effective_wire_codec(options_, ctx);
-    dopts.wire_precision = wc.precision;
-    dopts.index_codec = wc.index_codec;
-    const auto sub = make_algorithm(kind_, p2, c2, dopts);
-    const PaddedProblem padded = pad_problem(kind_, p2, c2, healed, a, b);
-    FusedResult out = sub->run_fusedmm(orientation, elision, padded.s,
-                                       padded.a, padded.b, repetitions);
-    const Index out_rows =
-        orientation == FusedOrientation::A ? s.rows() : s.cols();
-    out.output = unpad_dense(out.output, out_rows, a.cols());
-    out.stats.set_degradation(e.crash().rank, p_, p2);
-    return out;
-  }
+  detail::Op op{true, Mode::SDDMM, orientation, elision, repetitions};
+  KernelResult out = run(op, required_plan(ctx, kind_), ctx.exec, s, a, b);
+  return {std::move(out.dense), std::move(out.stats)};
 }
 
 bool valid_config(AlgorithmKind kind, int p, int c) {
@@ -282,55 +287,6 @@ std::unique_ptr<DistAlgorithm> make_algorithm(AlgorithmKind kind, int p,
 }
 
 namespace detail {
-
-CsrMatrix csr_with_values(const CsrMatrix& pattern,
-                          std::span<const Scalar> values) {
-  CsrMatrix out = pattern;
-  check(values.size() == out.values().size(),
-        "csr_with_values: got ", values.size(), " values for ",
-        out.values().size(), " nonzeros");
-  std::copy(values.begin(), values.end(), out.values().begin());
-  return out;
-}
-
-void scatter_values(std::span<const Scalar> local,
-                    std::span<const Index> entries,
-                    std::span<Scalar> global) {
-  check(local.size() == entries.size(),
-        "scatter_values: ", local.size(), " values for ", entries.size(),
-        " entry slots");
-  for (std::size_t k = 0; k < local.size(); ++k) {
-    global[static_cast<std::size_t>(entries[k])] = local[k];
-  }
-}
-
-WorldStats run_in(SimWorld* world, int num_ranks,
-                  const std::function<void(Comm&)>& body,
-                  const WorldOptions& options) {
-  if (world == nullptr) return run_spmd(num_ranks, body, options);
-  check(world->size() == num_ranks, "run_in: resident world has ",
-        world->size(), " ranks, driver needs ", num_ranks);
-  return world->run(body, options);
-}
-
-ReplicationCache* usable_cache(const ExecContext& ctx,
-                               const AlgorithmOptions& options) {
-  if (ctx.cache == nullptr) return nullptr;
-  if (options.faults != nullptr && options.faults->enabled()) return nullptr;
-  if (options.schedule == ShiftSchedule::Pipelined) return nullptr;
-  return ctx.cache;
-}
-
-CacheUse cache_use(const ExecContext& ctx, const AlgorithmOptions& options) {
-  CacheUse use;
-  use.cache = usable_cache(ctx, options);
-  if (use.cache != nullptr) {
-    use.hit = use.cache->complete();
-    use.cache->note_run(use.hit);
-  }
-  return use;
-}
-
 namespace {
 
 /// The PETSc-like 1D block-row baseline (paper Section VI-A): S, A, and
@@ -338,50 +294,21 @@ namespace {
 /// its column support touches, point to point, with no replication to
 /// amortize them. The communication plan (which rows each pair
 /// exchanges) is computed at setup, like PETSc's cached VecScatter; the
-/// fetch payloads are charged to Phase::Propagation.
-class Baseline1D final : public DistAlgorithm {
+/// fetch payloads are charged to Phase::Propagation. The baseline holds
+/// no redundancy, so crash recovery restores each rank's CSR values
+/// from the checkpoint store and re-runs the body in full (there are no
+/// shift loops to journal; the one-shot crash triggers never re-fire).
+class Baseline1D final : public GridFamily<Baseline1D> {
  public:
   Baseline1D(int p, int c, const AlgorithmOptions& options)
-      : DistAlgorithm(AlgorithmKind::Baseline1D, p, c, options) {}
+      : GridFamily(AlgorithmKind::Baseline1D, p, c, options) {}
 
   bool supports(Elision elision) const override {
     return elision == Elision::None;
   }
 
- protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
-  }
+  static constexpr bool kCachesReplication = false;
 
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override {
-    check(mode == Mode::SpMMA,
-          "1D-Baseline supports SpMMA only (the paper's baseline runs "
-          "FusedMM as two SpMM calls)");
-    KernelResult result;
-    result.dense = DenseMatrix(s.rows(), b.cols());
-    result.stats = run(ctx, a, b, /*fused=*/false, /*repetitions=*/1,
-                       result.dense);
-    return result;
-  }
-
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override {
-    check(orientation == FusedOrientation::A,
-          "1D-Baseline supports FusedMM orientation A only");
-    FusedResult result;
-    result.output = DenseMatrix(s.rows(), b.cols());
-    result.stats = run(ctx, a, b, /*fused=*/true, repetitions,
-                       result.output);
-    return result;
-  }
-
- private:
   struct Setup {
     Index m = 0, n = 0, r = 0;
     Index row_blk = 0, col_blk = 0;
@@ -392,18 +319,6 @@ class Baseline1D final : public DistAlgorithm {
     /// needs[k][o]: global B rows rank k fetches from owner o.
     std::vector<std::vector<std::vector<Index>>> needs;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "1D-Baseline: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     Setup su;
@@ -464,138 +379,114 @@ class Baseline1D final : public DistAlgorithm {
     return su;
   }
 
-  /// Fetch remote B rows per the plan and assemble the rank's compacted
-  /// working set (distinct columns x r). The reply payload is a bare
-  /// value run (row order fixed by the shared plan, so no index header
-  /// travels) routed through the wire-codec layer.
-  DenseMatrix fetch_b(Comm& comm, const Setup& su, const DenseMatrix& b,
-                      const WireCodec& codec) const {
-    const int rank = comm.rank();
-    const auto& mine = su.cols[static_cast<std::size_t>(rank)];
-    DenseMatrix work(static_cast<Index>(mine.size()), su.r);
-    {
-      PhaseScope scope(comm.stats(), Phase::Propagation);
-      // Buffered sends first (deadlock-free), then blocking receives.
-      for (int t = 0; t < p(); ++t) {
-        if (t == rank) continue;
-        const auto& rows =
-            su.needs[static_cast<std::size_t>(t)][static_cast<std::size_t>(
-                rank)];
-        if (rows.empty()) continue;
-        std::vector<Scalar> values;
-        values.reserve(rows.size() * static_cast<std::size_t>(su.r));
-        for (const Index g : rows) {
-          const auto row = b.row(g);
-          values.insert(values.end(), row.begin(), row.end());
-        }
-        comm.send_words(t, kTagFetchReply, encode_values(values, codec));
-      }
-      for (int o = 0; o < p(); ++o) {
-        if (o == rank) continue;
-        const auto& rows =
-            su.needs[static_cast<std::size_t>(rank)][static_cast<std::size_t>(
-                o)];
-        if (rows.empty()) continue;
-        const auto values = decode_values(
-            comm.recv_words(o, kTagFetchReply),
-            static_cast<std::int64_t>(rows.size()) * su.r, codec);
-        for (std::size_t k = 0; k < rows.size(); ++k) {
-          const Index g = rows[k];
-          const auto* row =
-              values.data() + k * static_cast<std::size_t>(su.r);
-          const auto it = std::lower_bound(mine.begin(), mine.end(), g);
-          const auto local = static_cast<Index>(
-              std::distance(mine.begin(), it));
-          std::copy(row, row + su.r, work.row(local).begin());
-        }
-      }
-    }
-    // Local columns straight from the owner's block (no communication).
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      const Index g = mine[i];
-      if (g / su.col_blk == rank) {
-        const auto row = b.row(g);
-        std::copy(row.begin(), row.end(),
-                  work.row(static_cast<Index>(i)).begin());
-      }
-    }
-    return work;
+  void check_op(const Op& op) const {
+    check(op.fused || op.mode == Mode::SpMMA,
+          "1D-Baseline supports SpMMA only (the paper's baseline runs "
+          "FusedMM as two SpMM calls)");
+    check(!op.fused || op.orientation == FusedOrientation::A,
+          "1D-Baseline supports FusedMM orientation A only");
   }
 
-  /// Crash recovery: the 1D baseline holds no redundancy at all, so the
-  /// checkpoint store is the only restart path — each rank's CSR values
-  /// are snapshotted before the world runs, and on_crash restores the
-  /// scrubbed shard through the digest check. The body re-runs in full
-  /// (the baseline has no shift loops to journal); the one-shot crash
-  /// triggers never re-fire.
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
-    }
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      const auto values =
-          su.shards[static_cast<std::size_t>(rank)].csr.values();
-      ckpt->save_shard(rank,
-                       std::vector<Scalar>(values.begin(), values.end()));
-    }
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [cp](const CrashInfo& crash) {
-      cp->scrub(crash.rank);
-      cp->restore(crash.rank);
-    };
-    return wo;
+  std::vector<Scalar> shard_values(const Setup& su, int rank) const {
+    return concat_values({&su.shards[static_cast<std::size_t>(rank)]});
   }
 
-  WorldStats run(const ExecContext& ctx, const DenseMatrix& a,
-                 const DenseMatrix& b, bool fused, int repetitions,
-                 DenseMatrix& out) const {
-    const Setup& su = setup_of(ctx);
-    const WireCodec codec = effective_wire_codec(options(), ctx);
-    std::optional<CheckpointStore> ckpt;
-    const WorldOptions wo = fault_options(su, ckpt);
-    return run_in(ctx.world, p(), [&](Comm& comm) {
-      const int rank = comm.rank();
-      const auto& shard = su.shards[static_cast<std::size_t>(rank)];
-      // Fault mode reads the shard values through the checkpoint store's
-      // live copy instead of the shared setup table.
-      const std::vector<Scalar>* live =
-          ckpt ? &ckpt->values(rank) : nullptr;
-      const CsrMatrix live_csr =
-          live != nullptr ? csr_with_values(shard.csr, *live) : CsrMatrix();
-      const CsrMatrix& scsr = live != nullptr ? live_csr : shard.csr;
-      for (int rep = 0; rep < repetitions; ++rep) {
-        DenseMatrix work = fetch_b(comm, su, b, codec);
-        if (fused) {
-          // The unfused SDDMM + SpMM pair fetches the same rows twice;
-          // the baseline has no elision to offer.
-          work = fetch_b(comm, su, b, codec);
+  class Rank final : public RankPasses {
+   public:
+    Rank(const Baseline1D& f, const Setup& su, const RankRun& run)
+        : RankPasses(run),
+          f_(f),
+          su_(su),
+          rank_(run.comm.rank()),
+          shard_({&su.shards[static_cast<std::size_t>(rank_)]}, run.live) {}
+
+    /// The fetched B rows are the working block; the dots come from the
+    /// rank's own A rows.
+    SddmmOut sddmm() override {
+      SddmmOut sd;
+      sd.a_work = fetch_b();
+      sd.pieces.push_back(shard_.sampled(0));
+      PhaseScope scope(comm_.stats(), Phase::Computation);
+      const DenseMatrix a_block =
+          run_.a.row_block(rank_ * su_.row_blk, (rank_ + 1) * su_.row_blk);
+      comm_.stats().add_flops(masked_dot_products(
+          shard_.csr(0), a_block, sd.a_work, sd.pieces[0].dots));
+      return sd;
+    }
+
+    /// SpMM-A over freshly fetched rows. FusedMM's pair fetches the same
+    /// rows twice: the baseline has no elision to offer.
+    void spmm(const SpmmIn& in, DenseMatrix& out) override {
+      const DenseMatrix work = fetch_b();
+      PhaseScope scope(comm_.stats(), Phase::Computation);
+      DenseMatrix block(su_.row_blk, su_.r);
+      CsrMatrix scratch;
+      comm_.stats().add_flops(
+          spmm_a(shard_.csr(0, in.values, scratch), work, block));
+      place_block(out, block, rank_ * su_.row_blk, 0);
+    }
+
+   private:
+    /// Fetch remote B rows per the plan and assemble the rank's
+    /// compacted working set (distinct columns x r). The reply payload
+    /// is a bare value run (row order fixed by the shared plan, so no
+    /// index header travels) routed through the wire-codec layer.
+    DenseMatrix fetch_b() const {
+      const auto& mine = su_.cols[static_cast<std::size_t>(rank_)];
+      DenseMatrix work(static_cast<Index>(mine.size()), su_.r);
+      {
+        PhaseScope scope(comm_.stats(), Phase::Propagation);
+        // Buffered sends first (deadlock-free), then blocking receives.
+        for (int t = 0; t < f_.p(); ++t) {
+          if (t == rank_) continue;
+          const auto& rows = su_.needs[static_cast<std::size_t>(t)]
+                                      [static_cast<std::size_t>(rank_)];
+          if (rows.empty()) continue;
+          std::vector<Scalar> values;
+          values.reserve(rows.size() * static_cast<std::size_t>(su_.r));
+          for (const Index g : rows) {
+            const auto row = run_.b.row(g);
+            values.insert(values.end(), row.begin(), row.end());
+          }
+          comm_.send_words(t, kTagFetchReply,
+                           encode_values(values, run_.codec));
         }
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        DenseMatrix block(su.row_blk, su.r);
-        if (fused) {
-          const DenseMatrix a_block =
-              a.row_block(rank * su.row_blk, (rank + 1) * su.row_blk);
-          std::vector<Scalar> dots(shard.coo.size(), Scalar{0});
-          comm.stats().add_flops(
-              masked_dot_products(scsr, a_block, work, dots));
-          hadamard_values(scsr.values(), dots, dots);
-          comm.stats().add_flops(shard.nnz());
-          comm.stats().add_flops(
-              spmm_a(csr_with_values(scsr, dots), work, block));
-        } else {
-          comm.stats().add_flops(spmm_a(scsr, work, block));
+        for (int o = 0; o < f_.p(); ++o) {
+          if (o == rank_) continue;
+          const auto& rows = su_.needs[static_cast<std::size_t>(rank_)]
+                                      [static_cast<std::size_t>(o)];
+          if (rows.empty()) continue;
+          const auto values = decode_values(
+              comm_.recv_words(o, kTagFetchReply),
+              static_cast<std::int64_t>(rows.size()) * su_.r, run_.codec);
+          for (std::size_t k = 0; k < rows.size(); ++k) {
+            const Index g = rows[k];
+            const auto* row =
+                values.data() + k * static_cast<std::size_t>(su_.r);
+            const auto it = std::lower_bound(mine.begin(), mine.end(), g);
+            const auto local =
+                static_cast<Index>(std::distance(mine.begin(), it));
+            std::copy(row, row + su_.r, work.row(local).begin());
+          }
         }
-        place_block(out, block, rank * su.row_blk, 0);
       }
-    }, wo);
-  }
+      // Local columns straight from the owner's block (no communication).
+      for (std::size_t i = 0; i < mine.size(); ++i) {
+        const Index g = mine[i];
+        if (g / su_.col_blk == rank_) {
+          const auto row = run_.b.row(g);
+          std::copy(row.begin(), row.end(),
+                    work.row(static_cast<Index>(i)).begin());
+        }
+      }
+      return work;
+    }
+
+    const Baseline1D& f_;
+    const Setup& su_;
+    int rank_;
+    LivePieces shard_;
+  };
 };
 
 } // namespace

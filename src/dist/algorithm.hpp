@@ -14,6 +14,7 @@
 /// load-balanced inputs.
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -116,36 +117,51 @@ class ReplicationCache;
 /// compression schedules) built once by `DistAlgorithm::make_plan_data`
 /// and reusable across calls. Each driver derives its own snapshot and
 /// rejects foreign ones, so a plan can only be executed by the driver
-/// configuration that built it. Immutable after construction.
+/// configuration that built it. Immutable after construction, except
+/// for the snapshot of the transposed problem that FusedMM-B under
+/// LocalKernelFusion runs on: the first such execute builds it, once,
+/// and every later one (on any thread) reuses it.
 struct PlanData {
   PlanData() = default;
   PlanData(const PlanData&) = delete;
   PlanData& operator=(const PlanData&) = delete;
   virtual ~PlanData() = default;
+
+ private:
+  friend class DistAlgorithm;
+  mutable std::once_flag transposed_once_;
+  mutable std::shared_ptr<const PlanData> transposed_;
 };
 
-/// Per-call execution context for the plan/execute path. `plan` is the
-/// prebuilt setup snapshot (null = build fresh inside the call); `world`
-/// is an optional resident SimWorld to run on instead of a one-shot
-/// world (must match the driver's p); `cache` is an optional cross-call
-/// replicated-factor cache (see dist/replication_cache.hpp) consulted by
-/// the blocking replication prologues — ignored by families whose
-/// replication is already sparsity-sized and whenever faults are armed.
-struct ExecContext {
-  const PlanData* plan = nullptr;
+/// Per-request execution environment. `world` is an optional resident
+/// SimWorld reused across requests (must have exactly the driver's p
+/// ranks); `cache` is an optional cross-call replicated-factor cache
+/// (see dist/replication_cache.hpp) consulted by the blocking
+/// replication prologues — ignored by families whose replication is
+/// already sparsity-sized and whenever faults are armed. Both borrowed,
+/// both optional — defaults execute on a one-shot world with no cache.
+/// `wire_precision` / `index_codec`, when set, override the driver
+/// options' wire codec for this request only (see effective_wire_codec)
+/// — a serving layer can trade accuracy for wire words per request
+/// without rebuilding the Plan.
+struct ExecuteOptions {
   SimWorld* world = nullptr;
   ReplicationCache* cache = nullptr;
-  /// Optional per-call wire-codec overrides (the serving layer threads
-  /// request-level choices through here): when set they replace the
-  /// driver options' wire_precision / index_codec for this call only.
   std::optional<WirePrecision> wire_precision;
   std::optional<IndexCodec> index_codec;
 };
 
+/// Per-call execution context for the plan/execute path: the prebuilt
+/// setup snapshot plus the request's execution environment.
+struct ExecContext {
+  const PlanData* plan = nullptr;
+  ExecuteOptions exec;
+};
+
 /// The wire codec one call runs with: the driver options' settings
-/// unless the ExecContext overrides them per call.
+/// unless the request overrides them.
 WireCodec effective_wire_codec(const AlgorithmOptions& options,
-                               const ExecContext& ctx);
+                               const ExecuteOptions& exec);
 
 /// Result of a FusedMM call: the A-shaped (orientation A) or B-shaped
 /// (orientation B) global output.
@@ -153,6 +169,20 @@ struct FusedResult {
   DenseMatrix output;
   WorldStats stats;
 };
+
+namespace detail {
+
+/// One engine call: a unified kernel, or FusedMM repeated `repetitions`
+/// times under an eliding strategy.
+struct Op {
+  bool fused = false;
+  Mode mode = Mode::SDDMM;
+  FusedOrientation orientation = FusedOrientation::A;
+  Elision elision = Elision::None;
+  int repetitions = 1;
+};
+
+} // namespace detail
 
 class DistAlgorithm {
  public:
@@ -203,7 +233,10 @@ class DistAlgorithm {
 
   /// Run FusedMM (SDDMM feeding SpMM) `repetitions` times with the given
   /// eliding strategy; communication scales exactly linearly in
-  /// repetitions and the output is that of a single call.
+  /// repetitions and the output is that of a single call. Orientation B
+  /// under LocalKernelFusion runs the transposed problem and so builds
+  /// its snapshot too: a fresh call reports two setup builds, and a
+  /// planned one reports one on the first such execute of a plan.
   FusedResult run_fusedmm(FusedOrientation orientation, Elision elision,
                           const CooMatrix& s, const DenseMatrix& a,
                           const DenseMatrix& b, int repetitions = 1) const;
@@ -217,26 +250,28 @@ class DistAlgorithm {
  protected:
   virtual std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
                                                        Index r) const = 0;
-  virtual KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                                     const CooMatrix& s,
-                                     const DenseMatrix& a,
-                                     const DenseMatrix& b) const = 0;
-  virtual FusedResult do_run_fusedmm(const ExecContext& ctx,
-                                     FusedOrientation orientation,
-                                     Elision elision, const CooMatrix& s,
-                                     const DenseMatrix& a,
-                                     const DenseMatrix& b,
-                                     int repetitions) const = 0;
+
+  /// The pass engine (dist/engine.hpp): run `op` against a snapshot
+  /// this driver built, into the result `run` allocated, and return the
+  /// run's stats.
+  virtual WorldStats run_op(const detail::Op& op, const PlanData& plan,
+                            const ExecuteOptions& exec,
+                            const DenseMatrix& a, const DenseMatrix& b,
+                            KernelResult& out) const = 0;
 
  private:
-  KernelResult run_planned_kernel(const ExecContext& ctx, Mode mode,
-                                  const CooMatrix& s, const DenseMatrix& a,
-                                  const DenseMatrix& b) const;
-  FusedResult run_planned_fusedmm(const ExecContext& ctx,
-                                  FusedOrientation orientation,
-                                  Elision elision, const CooMatrix& s,
-                                  const DenseMatrix& a, const DenseMatrix& b,
-                                  int repetitions) const;
+  struct SetupTally;
+
+  /// The one call path behind run_kernel and run_fusedmm: plan (fresh
+  /// when `plan` is null), allocate the result, run, and degrade onto a
+  /// smaller grid when a crash is permanent and the options allow it.
+  KernelResult run(const detail::Op& op, const PlanData* plan,
+                   const ExecuteOptions& exec, const CooMatrix& s,
+                   const DenseMatrix& a, const DenseMatrix& b) const;
+  std::shared_ptr<const PlanData> build_plan(const CooMatrix& s, Index r,
+                                             SetupTally& tally) const;
+  const PlanData& transposed_plan(const PlanData& plan, const CooMatrix& s,
+                                  Index r, SetupTally& tally) const;
 
   AlgorithmKind kind_;
   int p_;

@@ -12,49 +12,33 @@
 /// S blocks circulate as COO triplets, SDDMM dot products accumulating
 /// in the circulating payload one width-slice at a time until the block
 /// returns home (paper Section IV-A).
-
-#include <optional>
+///
+/// Neither family holds replicas: crash recovery restores a rank's
+/// shard values from the checkpoint store, and the journaled shift
+/// loops resume past the last jointly completed step.
 
 #include "common/error.hpp"
-#include "dist/families.hpp"
+#include "dist/engine.hpp"
 #include "dist/grid.hpp"
-#include "dist/replication_cache.hpp"
-#include "dist/problem.hpp"
+#include "local/fused.hpp"
 #include "local/sddmm.hpp"
 #include "local/spmm.hpp"
-#include "local/fused.hpp"
-#include "runtime/checkpoint.hpp"
-#include "runtime/collectives.hpp"
-#include "runtime/world.hpp"
 
 namespace dsk::detail {
 namespace {
 
 // ------------------------------------------------------------- dense shift
 
-class DenseShift15D final : public DistAlgorithm {
+class DenseShift15D final : public GridFamily<DenseShift15D> {
  public:
   DenseShift15D(int p, int c, const AlgorithmOptions& options)
-      : DistAlgorithm(AlgorithmKind::DenseShift15D, p, c, options),
+      : GridFamily(AlgorithmKind::DenseShift15D, p, c, options),
         grid_(p, c) {}
 
   bool supports(Elision) const override { return true; }
 
- protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
-  }
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override;
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override;
+  static constexpr bool kCachesReplication = true;
 
- private:
   struct Setup {
     Index m = 0, n = 0, r = 0;
     Index mL = 0;    ///< layer-row height m / L
@@ -68,18 +52,6 @@ class DenseShift15D final : public DistAlgorithm {
     /// contiguous — the wants table of the row-sparse collectives.
     std::vector<std::vector<Index>> support;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "1.5D-DenseShift: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     const int L = grid_.layer_size();
@@ -110,631 +82,258 @@ class DenseShift15D final : public DistAlgorithm {
               row % su.mL, col - v * su.ncg - j * su.b_blk);
         },
         [&](int) { return std::pair<Index, Index>(su.mL, su.b_blk); });
-    // Sized even in Dense mode (fiber_wants hands out spans into it);
+    // Sized even in Dense mode (the fiber wants hand out spans into it);
     // the unions are only needed — and only computed — when the
     // row-sparse collectives may run.
     su.support.assign(static_cast<std::size_t>(p()), {});
     if (options().replication != ReplicationMode::Dense) {
-      for (int u = 0; u < L; ++u) {
-        for (int v = 0; v < c(); ++v) {
-          std::vector<const SparseShard*> mine;
-          for (int j = 0; j < L; ++j) {
-            mine.push_back(&piece(su, grid_.rank_of(u, v), j));
-          }
-          su.support[static_cast<std::size_t>(u * c() + v)] =
-              union_row_support(mine, su.mL);
-        }
+      for (int rank = 0; rank < p(); ++rank) {
+        su.support[static_cast<std::size_t>(grid_.u_of(rank) * c() +
+                                            grid_.v_of(rank))] =
+            union_row_support(pieces_of(su, rank), su.mL);
       }
     }
     return su;
   }
 
-  /// The c member supports of fiber u, in fiber-position (v) order.
-  std::span<const std::vector<Index>> fiber_wants(const Setup& su,
-                                                 int u) const {
-    return {su.support.data() + static_cast<std::size_t>(u) *
-                                    static_cast<std::size_t>(c()),
-            static_cast<std::size_t>(c())};
-  }
-
-  const SparseShard& piece(const Setup& su, int rank, int j) const {
-    return su.pieces[static_cast<std::size_t>(rank * grid_.layer_size() +
-                                              j)];
-  }
-
-  /// Global row of the B block shifting through layer v as ring index j.
-  Index b_row0(const Setup& su, int v, int j) const {
-    return (static_cast<Index>(v) * grid_.layer_size() + j) * su.b_blk;
-  }
-
-  /// Fiber all-gather of the rank's canonical A block into its full
-  /// layer-row of A (row-sparse per options().replication: only rows the
-  /// fiber members' pieces touch need to travel). On a cache-hit run the
-  /// parked working block comes back with zero replication traffic; on a
-  /// miss run the gathered block is parked for the next call.
-  DenseMatrix replicate_a(Comm& comm, const Setup& su, int u, int v,
-                          const DenseMatrix& a, const WireCodec& codec,
-                          const CacheUse& cu = {}) const {
-    if (cu.hit) return cu.cache->block(comm.rank());
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    const Index row0 = (static_cast<Index>(u) * c() + v) * su.a_blk;
-    DenseMatrix out = fiber.allgatherv_rows(
-        a.row_block(row0, row0 + su.a_blk), fiber_wants(su, u),
-        options().replication, codec);
-    if (cu.cache != nullptr) cu.cache->store(comm.rank(), out);
-    return out;
-  }
-
-  /// Pipelined replicate_a: same words and result, streamed in
-  /// chunk-row pieces with `deliver` fired per finalized working-block
-  /// row range. The deliver callbacks (which run computation) nest
-  /// inside this Replication scope; PhaseScope nesting is exclusive, so
-  /// the interleaved spans attribute correctly.
-  void replicate_a_pipelined(Comm& comm, const Setup& su, int u, int v,
-                             const DenseMatrix& a, DenseMatrix& dest,
-                             const ChunkFn& deliver,
-                             const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    const Index row0 = (static_cast<Index>(u) * c() + v) * su.a_blk;
-    fiber.allgatherv_rows_pipelined(
-        a.row_block(row0, row0 + su.a_blk), fiber_wants(su, u),
-        options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.a_blk), deliver,
-        dest, codec);
-  }
-
-  /// Fiber reduce-scatter of the rank's layer-row partial; writes the
-  /// rank's m/p output chunk.
-  void reduce_partial(Comm& comm, const Setup& su, int u, int v,
-                      const DenseMatrix& partial, DenseMatrix& out,
-                      const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    auto chunk = fiber.reduce_scatter_rows(partial, fiber_wants(su, u),
-                                           options().replication, codec);
-    place_block(out, chunk,
-                static_cast<Index>(u) * su.mL + v * su.a_blk, 0);
-  }
-
-  /// Streaming reduce_partial: same words and result, but the collective
-  /// pulls partial rows just in time through `prepare` (the shift-loop
-  /// epilogue routes the final step's row-sliced kernel into it). The
-  /// partial is consumed.
-  void reduce_partial_pipelined(Comm& comm, const Setup& su, int u, int v,
-                                DenseMatrix& partial, DenseMatrix& out,
-                                const ChunkFn& prepare,
-                                const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    auto chunk = fiber.reduce_scatter_rows_pipelined(
-        partial, fiber_wants(su, u), options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.a_blk), prepare,
-        codec);
-    place_block(out, chunk,
-                static_cast<Index>(u) * su.mL + v * su.a_blk, 0);
-  }
-
-  /// Column-support wire schedules of layer v's circulating B payloads
-  /// (inactive under Dense propagation, free to attach): block j's
-  /// consumer at step t is the rank at layer position (j - t) mod L,
-  /// touching exactly the rows in its piece-j column support.
-  ShiftCompression b_compression(const Setup& su, int u, int v,
-                                 bool mutates,
-                                 const WireCodec& codec) const {
-    const int L = grid_.layer_size();
-    return make_ring_compression(
-        options().propagation, su.b_blk, su.r, L, u, mutates,
-        [this, &su, v, L](int origin, int step) -> std::span<const Index> {
-          const int consumer = ((origin - step) % L + L) % L;
-          return piece(su, grid_.rank_of(consumer, v), origin).col_support;
-        },
-        codec);
-  }
-
-  /// Circulate the layer's B blocks (or B-shaped accumulators) for L
-  /// steps; body(j, resident) sees ring index j and may rewrite the
-  /// resident block when mutates is set. Returns the final resident
-  /// block — after the full ring trip that is the home block again,
-  /// which the accumulator (mutating) loops write to the output.
-  MessageWords b_loop(Comm& comm, const Setup& su, int u, int v,
-                      bool mutates, MessageWords start,
-                      const std::function<void(int, MessageWords&)>& body,
-                      const WireCodec& codec,
-                      const ShiftPrologue* prologue = nullptr,
-                      const ShiftJournalHooks* state = nullptr) const {
-    const int L = grid_.layer_size();
-    const auto layer = grid_.layer_members(v);
-    ShiftChannel ch =
-        ring_channel(layer, u, kTagShift, mutates, std::move(start));
-    const ShiftCompression comp = b_compression(su, u, v, mutates, codec);
-    ch.compression = &comp;
-    run_shift_loop(comm, options().schedule, L, {&ch, 1}, [&](int t) {
-      body((u + t) % L, ch.block);
-    }, prologue, nullptr, state);
-    return std::move(ch.block);
-  }
-
-  /// Concatenation of the rank's L piece value slices — the rank-local
-  /// sparse memory the checkpoint store snapshots (the 1.5D family has
-  /// no replicas; the checkpoint IS its redundancy).
-  std::vector<Scalar> shard_values(const Setup& su, int rank) const {
-    std::vector<Scalar> out;
+  /// The rank's L pieces, in ring-index order: its rank-local sparse
+  /// memory.
+  std::vector<const SparseShard*> pieces_of(const Setup& su,
+                                            int rank) const {
+    std::vector<const SparseShard*> out;
+    out.reserve(static_cast<std::size_t>(grid_.layer_size()));
     for (int j = 0; j < grid_.layer_size(); ++j) {
-      const auto& v = piece(su, rank, j).coo.values;
-      out.insert(out.end(), v.begin(), v.end());
+      out.push_back(&su.pieces[static_cast<std::size_t>(
+          rank * grid_.layer_size() + j)]);
     }
     return out;
   }
 
-  /// Split the rank's live checkpoint slice back into per-piece value
-  /// vectors (empty when live is null — fault-free kernels read the
-  /// setup tables directly).
-  std::vector<std::vector<Scalar>> live_piece_values(
-      const Setup& su, int rank, const std::vector<Scalar>* live) const {
-    std::vector<std::vector<Scalar>> out;
-    if (live == nullptr) return out;
-    const int L = grid_.layer_size();
-    out.resize(static_cast<std::size_t>(L));
-    std::size_t off = 0;
-    for (int j = 0; j < L; ++j) {
-      const std::size_t count = piece(su, rank, j).coo.size();
-      out[static_cast<std::size_t>(j)].assign(
-          live->begin() + static_cast<std::ptrdiff_t>(off),
-          live->begin() + static_cast<std::ptrdiff_t>(off + count));
-      off += count;
-    }
-    return out;
+  std::vector<Scalar> shard_values(const Setup& su, int rank) const {
+    return concat_values(pieces_of(su, rank));
   }
 
-  /// Crash recovery for the unreplicated dense-shift family: snapshot
-  /// every rank's piece values into the checkpoint store before the
-  /// world runs; on_crash restores the scrubbed shard through the
-  /// digest check and the journaled shift loops resume past the last
-  /// jointly completed step.
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
-    }
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      ckpt->save_shard(rank, shard_values(su, rank));
-    }
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [cp](const CrashInfo& crash) {
-      cp->scrub(crash.rank);
-      cp->restore(crash.rank);
-    };
-    return wo;
-  }
+  class Rank final : public RankPasses {
+   public:
+    Rank(const DenseShift15D& f, const Setup& su, const RankRun& run)
+        : RankPasses(run),
+          f_(f),
+          su_(su),
+          u_(f.grid_.u_of(run.comm.rank())),
+          v_(f.grid_.v_of(run.comm.rank())),
+          L_(f.grid_.layer_size()),
+          pieces_(f.pieces_of(su, run.comm.rank()), run.live),
+          fiber_(run, f.grid_.fiber_members(u_),
+                 {su.support.data() + static_cast<std::size_t>(u_) *
+                                          static_cast<std::size_t>(f.c()),
+                  static_cast<std::size_t>(f.c())},
+                 a_row0(), su.a_blk, 0, su.r),
+          // Block j's consumer at step t is the rank at layer position
+          // (j - t) mod L, touching exactly its piece-j column support.
+          b_ring_(run, f.grid_.layer_members(v_), u_, kTagShift, su.b_blk,
+                  su.r, u_,
+                  [this](int origin, int step) -> std::span<const Index> {
+                    const int consumer = ((origin - step) % L_ + L_) % L_;
+                    const int rank = f_.grid_.rank_of(consumer, v_);
+                    return su_.pieces[static_cast<std::size_t>(
+                                          rank * L_ + origin)]
+                        .col_support;
+                  }) {}
 
-  bool pipelined() const {
-    return options().schedule == ShiftSchedule::Pipelined;
-  }
-
-  /// Replicate A into dest: blocking under BSP/DB; under Pipelined the
-  /// returned prologue streams it into the following loop's step 0
-  /// instead (monolithic step-0 compute — pass the prologue to the loop
-  /// unconditionally, an unarmed one is ignored).
-  ShiftPrologue replication_prologue(Comm& comm, const Setup& su, int u,
-                                     int v, const DenseMatrix& a,
-                                     DenseMatrix& dest,
-                                     const WireCodec& codec,
-                                     const CacheUse& cu = {}) const {
-    ShiftPrologue pro;
-    if (pipelined()) {
-      pro.replicate = [this, &comm, &su, u, v, &a, &dest,
-                       codec](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, a, dest, deliver, codec);
-      };
-    } else {
-      dest = replicate_a(comm, su, u, v, a, codec, cu);
-    }
-    return pro;
-  }
-
-  /// Replicate A into the rank's working layer-row and run the SDDMM dot
-  /// loop (B input blocks circulate). Under the Pipelined schedule the
-  /// fiber all-gather streams as the loop's prologue: the step-0 B block
-  /// is forwarded before replication starts and the step-0 dots
-  /// accumulate chunk by chunk as working-block rows arrive (bit
-  /// identical — each entry's dot lives wholly in its row's chunk).
-  /// Returns the working block and dots[j] for the rank's L pieces.
-  std::pair<DenseMatrix, std::vector<std::vector<Scalar>>>
-  replicate_and_dots(Comm& comm, const Setup& su, int rank, int u, int v,
-                     const DenseMatrix& a, const DenseMatrix& b,
-                     const WireCodec& codec,
-                     const CacheUse& cu = {}) const {
-    const int L = grid_.layer_size();
-    DenseMatrix a_work;
-    std::vector<std::vector<Scalar>> dots(static_cast<std::size_t>(L));
-    const DenseMatrix b0 =
-        b.row_block(b_row0(su, v, u), b_row0(su, v, u) + su.b_blk);
-    const auto body = [&](int j, MessageWords& block) {
-      const auto bj = unpack_dense(block, su.b_blk, su.r);
-      const auto& pc = piece(su, rank, j);
-      auto& d = dots[static_cast<std::size_t>(j)];
-      d.assign(pc.coo.size(), Scalar{0});
-      comm.stats().add_flops(masked_dot_products(pc.csr, a_work, bj, d));
-    };
-    if (pipelined()) {
-      const int j0 = u % L;
-      const auto& p0 = piece(su, rank, j0);
-      auto& d0 = dots[static_cast<std::size_t>(j0)];
-      d0.assign(p0.coo.size(), Scalar{0});
-      ShiftPrologue pro;
-      pro.replicate = [&](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, a, a_work, deliver, codec);
-      };
-      pro.compute_chunk = [&](Index row0, Index row1) {
-        comm.stats().add_flops(masked_dot_products_rows(
-            p0.csr, a_work, b0, d0, row0, row1));
-      };
-      b_loop(comm, su, u, v, /*mutates=*/false, pack_dense(b0), body,
-             codec, &pro);
-    } else {
-      a_work = replicate_a(comm, su, u, v, a, codec, cu);
-      // The per-piece dot vectors are stationary state (each dots[j] is
-      // written wholly at step j); journal them so a recovered attempt
-      // resumes with the completed pieces' dots intact.
-      ShiftJournalHooks hooks;
-      hooks.pack_state = [&] {
-        MessageWords words;
-        for (const auto& d : dots) {
-          const MessageWords packed =
-              pack_values(std::span<const Scalar>(d));
-          words.push_back(packed.size());
-          words.insert(words.end(), packed.begin(), packed.end());
-        }
-        return words;
-      };
-      hooks.unpack_state = [&](const MessageWords& words) {
-        std::size_t off = 0;
-        for (auto& d : dots) {
-          const auto len = static_cast<std::size_t>(words[off++]);
-          d = unpack_values(MessageWords(
-              words.begin() + static_cast<std::ptrdiff_t>(off),
-              words.begin() + static_cast<std::ptrdiff_t>(off + len)));
-          off += len;
-        }
-      };
-      b_loop(comm, su, u, v, /*mutates=*/false, pack_dense(b0), body,
-             codec, nullptr, &hooks);
-    }
-    return {std::move(a_work), std::move(dots)};
-  }
-
-  /// SpMMA propagation AND reduction: accumulate the layer-row partial
-  /// from circulating B blocks, then fiber reduce-scatter it into the
-  /// rank's output chunk. Blocking reduce under BSP/DB; under Pipelined
-  /// the reduce-scatter streams out of the loop's LAST step — its
-  /// prepare pulls run the final piece's spmm_a rows just in time, so
-  /// the earliest output chunks enter the wire while later rows are
-  /// still being computed (bit-identical: each output row's accumulation
-  /// is independent). values overridable for the FusedMM SpMM pass.
-  void spmma_pass(Comm& comm, const Setup& su, int rank, int u, int v,
-                  const DenseMatrix& b,
-                  const std::vector<std::vector<Scalar>>* values,
-                  DenseMatrix& out, const WireCodec& codec) const {
-    const int L = grid_.layer_size();
-    const auto layer = grid_.layer_members(v);
-    DenseMatrix partial(su.mL, su.r);
-    ShiftChannel ch = ring_channel(
-        layer, u, kTagShift, /*mutates=*/false,
-        pack_dense(b.row_block(b_row0(su, v, u),
-                               b_row0(su, v, u) + su.b_blk)));
-    const ShiftCompression comp =
-        b_compression(su, u, v, /*mutates=*/false, codec);
-    ch.compression = &comp;
-    const auto body = [&](int t) {
-      const int j = (u + t) % L;
-      const auto bj = unpack_dense(ch.block, su.b_blk, su.r);
-      const auto& pc = piece(su, rank, j);
-      if (values == nullptr) {
-        comm.stats().add_flops(spmm_a(pc.csr, bj, partial));
-      } else {
-        comm.stats().add_flops(spmm_a(
-            csr_with_values(pc.csr,
-                            (*values)[static_cast<std::size_t>(j)]),
-            bj, partial));
+    /// Replicate A into the rank's working layer-row and run the dot loop
+    /// (B input blocks circulate). Under Pipelined the fiber all-gather
+    /// streams as the loop's prologue: the step-0 B block is forwarded
+    /// before replication starts and the step-0 dots accumulate chunk by
+    /// chunk as working-block rows arrive (bit-identical — each entry's
+    /// dot lives wholly in its row's chunk). The per-piece dots are
+    /// stationary state (each is written wholly at its step), journaled
+    /// so a recovered attempt resumes with the completed pieces intact.
+    SddmmOut sddmm() override {
+      SddmmOut sd;
+      sd.pieces.reserve(pieces_.size());
+      for (std::size_t j = 0; j < pieces_.size(); ++j) {
+        sd.pieces.push_back(pieces_.sampled(j));
       }
-    };
-    ShiftEpilogue epi;
-    DenseMatrix b_last;
-    CsrMatrix s_revalued;
-    const CsrMatrix* s_last = nullptr;
-    if (pipelined()) {
-      const int j_last = (u + L - 1) % L;
-      epi.compute_chunk = [&, j_last](Index row0, Index row1) {
-        if (s_last == nullptr) {
-          // The final resident block (and, only when the values are
-          // overridden, a revalued copy of the final piece's CSR) are
-          // materialized once, on the first prepare pull.
-          b_last = unpack_dense(ch.block, su.b_blk, su.r);
-          if (values == nullptr) {
-            s_last = &piece(su, rank, j_last).csr;
-          } else {
-            s_revalued = csr_with_values(
-                piece(su, rank, j_last).csr,
-                (*values)[static_cast<std::size_t>(j_last)]);
-            s_last = &s_revalued;
-          }
-        }
-        comm.stats().add_flops(
-            spmm_a_rows(*s_last, b_last, partial, row0, row1));
-      };
-      epi.reduce = [&](const ChunkFn& prepare) {
-        reduce_partial_pipelined(comm, su, u, v, partial, out, prepare,
-                                 codec);
-      };
+      const DenseMatrix b0 = b_home();
+      ShiftPrologue pro = fiber_.prologue(sd.a_work, run_.cache);
+      if (run_.pipelined()) {
+        pro.compute_chunk = [&](Index row0, Index row1) {
+          comm_.stats().add_flops(masked_dot_products_rows(
+              pieces_.shard(u_).csr, sd.a_work, b0, sd.pieces[u_].dots,
+              row0, row1));
+        };
+      }
+      const ShiftJournalHooks hooks = journal_dots(sd.pieces);
+      b_loop(/*mutates=*/false, pack_dense(b0),
+             [&](int j, MessageWords& block) {
+               const auto bj = unpack_dense(block, su_.b_blk, su_.r);
+               auto& d = sd.pieces[static_cast<std::size_t>(j)].dots;
+               d.assign(d.size(), Scalar{0});
+               comm_.stats().add_flops(masked_dot_products(
+                   pieces_.shard(j).csr, sd.a_work, bj, d));
+             },
+             &pro, &hooks);
+      return sd;
     }
-    ShiftJournalHooks hooks;
-    hooks.pack_state = [&] { return pack_dense(partial); };
-    hooks.unpack_state = [&](const MessageWords& words) {
-      partial = unpack_dense(words, su.mL, su.r);
-    };
-    run_shift_loop(comm, options().schedule, L, {&ch, 1}, body, nullptr,
-                   &epi, &hooks);
-    if (!pipelined()) reduce_partial(comm, su, u, v, partial, out, codec);
-  }
 
+    void spmm(const SpmmIn& in, DenseMatrix& out) override {
+      if (in.orientation == FusedOrientation::A) {
+        spmm_a_pass(in.values, out);
+        return;
+      }
+      // SpMM-B: the B-shaped accumulators circulate against the working
+      // block — the kernel's own, or the SDDMM pass's (replicated again,
+      // unused, without elision). spmm_b accumulates across working-block
+      // rows, so under Pipelined step 0 runs monolithically once the
+      // stream completes; the gain is the chunked fiber stream itself.
+      DenseMatrix a_own;
+      ShiftPrologue pro;
+      if (in.a_work == nullptr || in.repeat) {
+        pro = fiber_.prologue(a_own, run_.cache);
+      }
+      const DenseMatrix& a_work = in.a_work != nullptr ? *in.a_work : a_own;
+      CsrMatrix scratch;
+      const auto home = b_loop(
+          /*mutates=*/true, pack_dense(DenseMatrix(su_.b_blk, su_.r)),
+          [&](int j, MessageWords& block) {
+            auto acc = unpack_dense(block, su_.b_blk, su_.r);
+            comm_.stats().add_flops(
+                spmm_b(pieces_.csr(j, in.values, scratch), a_work, acc));
+            block = pack_dense(acc);
+          },
+          &pro);
+      PhaseScope scope(comm_.stats(), Phase::Computation);
+      place_block(out, unpack_dense(home, su_.b_blk, su_.r), b_row0(u_), 0);
+    }
+
+    /// LocalKernelFusion: one propagation loop with the fused local
+    /// kernel. It accumulates into the layer-row partial, so under
+    /// Pipelined step 0 runs monolithically after the replication stream
+    /// (the overlap is the early B forward plus the chunked fiber
+    /// messages).
+    void fused(DenseMatrix& out) override {
+      DenseMatrix fused_a;
+      const ShiftPrologue pro = fiber_.prologue(fused_a);
+      DenseMatrix partial(su_.mL, su_.r);
+      const ShiftJournalHooks hooks = journal_dense(partial);
+      b_loop(/*mutates=*/false, pack_dense(b_home()),
+             [&](int j, MessageWords& block) {
+               const auto bj = unpack_dense(block, su_.b_blk, su_.r);
+               comm_.stats().add_flops(
+                   fusedmm_a(pieces_.csr(j), fused_a, bj, partial));
+             },
+             &pro, &hooks);
+      fiber_.reduce(partial, out);
+    }
+
+   private:
+    Index a_row0() const {
+      return (static_cast<Index>(u_) * f_.c() + v_) * su_.a_blk;
+    }
+
+    /// Global row of the B block shifting through the layer as ring
+    /// index j.
+    Index b_row0(int j) const {
+      return (static_cast<Index>(v_) * L_ + j) * su_.b_blk;
+    }
+
+    /// The B block resident here at step 0 (ring index u).
+    DenseMatrix b_home() const {
+      return run_.b.row_block(b_row0(u_), b_row0(u_) + su_.b_blk);
+    }
+
+    /// Circulate the layer's B blocks (or B-shaped accumulators) for L
+    /// steps; body(j, resident) sees ring index j and may rewrite the
+    /// resident block when mutates is set. Returns the final resident
+    /// block — after the full ring trip that is the home block again,
+    /// which the accumulator (mutating) loops write to the output.
+    MessageWords b_loop(bool mutates, MessageWords start,
+                        const std::function<void(int, MessageWords&)>& body,
+                        const ShiftPrologue* prologue,
+                        const ShiftJournalHooks* state = nullptr) {
+      ShiftChannel ch = b_ring_.channel(mutates, std::move(start));
+      run_shift_loop(comm_, run_.options.schedule, L_, {&ch, 1},
+                     [&](int t) { body((u_ + t) % L_, ch.block); },
+                     prologue, nullptr, state);
+      return std::move(ch.block);
+    }
+
+    /// SpMM-A propagation AND reduction: accumulate the layer-row partial
+    /// from circulating B blocks, then fiber reduce-scatter it into the
+    /// rank's output chunk. Blocking reduce under BSP/DB; under Pipelined
+    /// the reduce-scatter streams out of the loop's LAST step — its
+    /// prepare pulls run the final piece's spmm_a rows just in time, so
+    /// the earliest output chunks enter the wire while later rows are
+    /// still being computed (bit-identical: each output row's
+    /// accumulation is independent).
+    void spmm_a_pass(const PieceValues* values, DenseMatrix& out) {
+      DenseMatrix partial(su_.mL, su_.r);
+      ShiftChannel ch =
+          b_ring_.channel(/*mutates=*/false, pack_dense(b_home()));
+      CsrMatrix scratch;
+      const auto body = [&](int t) {
+        const int j = (u_ + t) % L_;
+        const auto bj = unpack_dense(ch.block, su_.b_blk, su_.r);
+        comm_.stats().add_flops(
+            spmm_a(pieces_.csr(j, values, scratch), bj, partial));
+      };
+      ShiftEpilogue epi;
+      DenseMatrix b_last;
+      CsrMatrix last_scratch;
+      const CsrMatrix* s_last = nullptr;
+      if (run_.pipelined()) {
+        const int j_last = (u_ + L_ - 1) % L_;
+        epi.compute_chunk = [&, j_last](Index row0, Index row1) {
+          if (s_last == nullptr) {
+            // The final resident block (and, only when the values are
+            // overridden, a revalued copy of the final piece's CSR) are
+            // materialized once, on the first prepare pull.
+            b_last = unpack_dense(ch.block, su_.b_blk, su_.r);
+            s_last = &pieces_.csr(j_last, values, last_scratch);
+          }
+          comm_.stats().add_flops(
+              spmm_a_rows(*s_last, b_last, partial, row0, row1));
+        };
+        epi.reduce = [&](const ChunkFn& prepare) {
+          fiber_.reduce_streamed(partial, out, prepare);
+        };
+      }
+      const ShiftJournalHooks hooks = journal_dense(partial);
+      run_shift_loop(comm_, run_.options.schedule, L_, {&ch, 1}, body,
+                     nullptr, &epi, &hooks);
+      if (!run_.pipelined()) fiber_.reduce(partial, out);
+    }
+
+    const DenseShift15D& f_;
+    const Setup& su_;
+    int u_;
+    int v_;
+    int L_;
+    LivePieces pieces_;
+    Fiber fiber_;
+    /// The layer ring the B blocks and B-shaped accumulators circulate
+    /// on, column-support compressed per options().propagation.
+    Ring b_ring_;
+  };
+
+ private:
   Grid15D grid_;
 };
 
-KernelResult DenseShift15D::do_run_kernel(const ExecContext& ctx,
-                                          Mode mode, const CooMatrix& s,
-                                          const DenseMatrix& a,
-                                          const DenseMatrix& b) const {
-  const Setup& su = setup_of(ctx);
-  KernelResult result;
-  if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix(su.m, su.r);
-  } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix(su.n, su.r);
-  } else {
-    result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
-                               Scalar{0});
-  }
-  const int L = grid_.layer_size();
-  const WireCodec codec = effective_wire_codec(options(), ctx);
-  // SpMMA never replicates A (its replication phase is the output
-  // reduce-scatter), so only the A-consuming modes consult the cache.
-  const CacheUse cu =
-      mode == Mode::SpMMA ? CacheUse{} : cache_use(ctx, options());
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
-    const int rank = comm.rank();
-    const int u = grid_.u_of(rank), v = grid_.v_of(rank);
-    // Fault mode reads the rank's piece values through the checkpoint
-    // store's live copy instead of the shared setup table.
-    const std::vector<Scalar>* live = ckpt ? &ckpt->values(rank) : nullptr;
-    const auto live_vals = live_piece_values(su, rank, live);
-    const auto* vals = live != nullptr ? &live_vals : nullptr;
-    std::vector<CsrMatrix> live_csr;
-    if (vals != nullptr) {
-      for (int j = 0; j < L; ++j) {
-        live_csr.push_back(csr_with_values(
-            piece(su, rank, j).csr, (*vals)[static_cast<std::size_t>(j)]));
-      }
-    }
-    const auto kernel_csr = [&](int j) -> const CsrMatrix& {
-      return vals != nullptr ? live_csr[static_cast<std::size_t>(j)]
-                             : piece(su, rank, j).csr;
-    };
-    switch (mode) {
-      case Mode::SpMMA: {
-        spmma_pass(comm, su, rank, u, v, b, vals, result.dense, codec);
-        return;
-      }
-      case Mode::SDDMM: {
-        const auto [a_work, dots] =
-            replicate_and_dots(comm, su, rank, u, v, a, b, codec, cu);
-        (void)a_work;
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        for (int j = 0; j < L; ++j) {
-          const auto& pc = piece(su, rank, j);
-          std::vector<Scalar> vals_j(pc.coo.size());
-          hadamard_values(vals != nullptr
-                              ? (*vals)[static_cast<std::size_t>(j)]
-                              : pc.coo.values,
-                          dots[static_cast<std::size_t>(j)], vals_j);
-          comm.stats().add_flops(pc.nnz());
-          scatter_values(vals_j, pc.entries, result.sddmm_values);
-        }
-        return;
-      }
-      case Mode::SpMMB: {
-        // spmm_b accumulates across rows of the working block, so the
-        // step-0 kernel runs monolithically once the stream completes;
-        // the Pipelined gain here is the chunked fiber stream itself.
-        DenseMatrix a_work;
-        const ShiftPrologue pro =
-            replication_prologue(comm, su, u, v, a, a_work, codec, cu);
-        const auto home = b_loop(
-            comm, su, u, v, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.b_blk, su.r)),
-            [&](int j, MessageWords& block) {
-              auto acc = unpack_dense(block, su.b_blk, su.r);
-              comm.stats().add_flops(spmm_b(kernel_csr(j), a_work, acc));
-              block = pack_dense(acc);
-            },
-            codec, &pro);
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense, unpack_dense(home, su.b_blk, su.r),
-                    b_row0(su, v, u), 0);
-        return;
-      }
-    }
-    fail("1.5D-DenseShift: unknown mode");
-  }, wo);
-  return result;
-}
-
-FusedResult DenseShift15D::do_run_fusedmm(const ExecContext& ctx,
-                                          FusedOrientation orientation,
-                                          Elision elision,
-                                          const CooMatrix& s,
-                                          const DenseMatrix& a,
-                                          const DenseMatrix& b,
-                                          int repetitions) const {
-  if (orientation == FusedOrientation::B &&
-      elision == Elision::LocalKernelFusion) {
-    // The fused local kernel co-locates full rows of the OUTPUT-side
-    // matrix; for a B-shaped output that is the transposed problem:
-    // FusedMMB(S, A, B) = FusedMMA(S^T, B, A). The transposed problem
-    // needs its own setup snapshot (the caller's plan describes s, not
-    // s^T), built here per call.
-    auto st = s.transposed();
-    st.sort_and_combine();
-    const auto tplan = do_make_plan(st, b.cols());
-    ExecContext tctx = ctx;
-    tctx.plan = tplan.get();
-    return do_run_fusedmm(tctx, FusedOrientation::A, elision, st, b, a,
-                          repetitions);
-  }
-  const Setup& su = setup_of(ctx);
-  const int L = grid_.layer_size();
-  const WireCodec codec = effective_wire_codec(options(), ctx);
-  FusedResult result;
-  result.output = DenseMatrix(
-      orientation == FusedOrientation::A ? su.m : su.n, su.r);
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
-    const int rank = comm.rank();
-    const int u = grid_.u_of(rank), v = grid_.v_of(rank);
-    // Fault mode reads the rank's piece values through the checkpoint
-    // store's live copy instead of the shared setup table.
-    const std::vector<Scalar>* live = ckpt ? &ckpt->values(rank) : nullptr;
-    const auto live_vals = live_piece_values(su, rank, live);
-    const auto* vals = live != nullptr ? &live_vals : nullptr;
-    std::vector<CsrMatrix> live_csr;
-    if (vals != nullptr) {
-      for (int j = 0; j < L; ++j) {
-        live_csr.push_back(csr_with_values(
-            piece(su, rank, j).csr, (*vals)[static_cast<std::size_t>(j)]));
-      }
-    }
-    const auto kernel_csr = [&](int j) -> const CsrMatrix& {
-      return vals != nullptr ? live_csr[static_cast<std::size_t>(j)]
-                             : piece(su, rank, j).csr;
-    };
-    for (int rep = 0; rep < repetitions; ++rep) {
-      if (elision == Elision::LocalKernelFusion) {
-        // Single propagation loop with the fused local kernel. The fused
-        // kernel accumulates into the layer-row partial, so under the
-        // Pipelined schedule step 0 runs monolithically after the
-        // replication stream (the overlap is the early B forward plus
-        // the chunked fiber messages).
-        DenseMatrix fused_a;
-        const ShiftPrologue pro =
-            replication_prologue(comm, su, u, v, a, fused_a, codec);
-        DenseMatrix partial(su.mL, su.r);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.mL, su.r);
-        };
-        b_loop(comm, su, u, v, /*mutates=*/false,
-               pack_dense(b.row_block(b_row0(su, v, u),
-                                      b_row0(su, v, u) + su.b_blk)),
-               [&](int j, MessageWords& block) {
-                 const auto bj = unpack_dense(block, su.b_blk, su.r);
-                 comm.stats().add_flops(
-                     fusedmm_a(kernel_csr(j), fused_a, bj, partial));
-               },
-               codec, &pro, &hooks);
-        reduce_partial(comm, su, u, v, partial, result.output, codec);
-        continue;
-      }
-      // SDDMM pass.
-      const auto [a_work, dots] =
-          replicate_and_dots(comm, su, rank, u, v, a, b, codec);
-      std::vector<std::vector<Scalar>> r_values(
-          static_cast<std::size_t>(L));
-      {
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        for (int j = 0; j < L; ++j) {
-          const auto& pc = piece(su, rank, j);
-          auto& vals_j = r_values[static_cast<std::size_t>(j)];
-          vals_j.resize(pc.coo.size());
-          hadamard_values(vals != nullptr
-                              ? (*vals)[static_cast<std::size_t>(j)]
-                              : pc.coo.values,
-                          dots[static_cast<std::size_t>(j)], vals_j);
-          comm.stats().add_flops(pc.nnz());
-        }
-      }
-      // SpMM pass on the SDDMM output values.
-      if (orientation == FusedOrientation::A) {
-        spmma_pass(comm, su, rank, u, v, b, &r_values, result.output,
-                   codec);
-      } else {
-        // Unelided sequence: the SpMM pass replicates A again instead
-        // of reusing the SDDMM pass's copy (the gathered bits are the
-        // same, so the repeat's result is discarded). Pipelined streams
-        // the repeat into the SpMM-B loop's step 0 too.
-        DenseMatrix discard;
-        ShiftPrologue pro;
-        if (elision == Elision::None) {
-          pro = replication_prologue(comm, su, u, v, a, discard, codec);
-        }
-        const auto home = b_loop(
-            comm, su, u, v, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.b_blk, su.r)),
-            [&](int j, MessageWords& block) {
-              auto acc = unpack_dense(block, su.b_blk, su.r);
-              comm.stats().add_flops(spmm_b(
-                  csr_with_values(piece(su, rank, j).csr,
-                                  r_values[static_cast<std::size_t>(j)]),
-                  a_work, acc));
-              block = pack_dense(acc);
-            },
-            codec, &pro);
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output, unpack_dense(home, su.b_blk, su.r),
-                    b_row0(su, v, u), 0);
-      }
-    }
-  }, wo);
-  return result;
-}
-
 // ------------------------------------------------------------ sparse shift
 
-class SparseShift15D final : public DistAlgorithm {
+class SparseShift15D final : public GridFamily<SparseShift15D> {
  public:
   SparseShift15D(int p, int c, const AlgorithmOptions& options)
-      : DistAlgorithm(AlgorithmKind::SparseShift15D, p, c, options),
+      : GridFamily(AlgorithmKind::SparseShift15D, p, c, options),
         grid_(p, c) {}
 
   bool supports(Elision elision) const override {
     return elision != Elision::LocalKernelFusion;
   }
 
- protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
-  }
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override;
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override;
+  static constexpr bool kCachesReplication = true;
 
- private:
   struct Setup {
     Index m = 0, n = 0, r = 0;
     Index mc = 0;  ///< canonical A row-block height m / c
@@ -750,18 +349,6 @@ class SparseShift15D final : public DistAlgorithm {
     /// position v's wants in the row-sparse collectives.
     std::vector<std::vector<Index>> layer_support;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "1.5D-SparseShift: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     const int L = grid_.layer_size();
@@ -804,378 +391,143 @@ class SparseShift15D final : public DistAlgorithm {
     return su.pieces[static_cast<std::size_t>(v * grid_.layer_size() + j)];
   }
 
-  /// The rank's stationary width-slice of the layer's B row block.
-  DenseMatrix local_b(const Setup& su, int u, int v,
-                      const DenseMatrix& b) const {
-    return dense_block(b, static_cast<Index>(v) * (su.n / c()),
-                       su.n / c(), static_cast<Index>(u) * su.rL, su.rL);
-  }
-
-  /// Fiber all-gather of the canonical A blocks into the full-m slice
-  /// A[:, u-th width slice] (row-sparse per options().replication).
-  /// Cache-hit runs return the parked slice with zero replication
-  /// traffic; miss runs park the gathered slice for the next call.
-  DenseMatrix replicate_a(Comm& comm, const Setup& su, int u, int v,
-                          const DenseMatrix& a, const WireCodec& codec,
-                          const CacheUse& cu = {}) const {
-    if (cu.hit) return cu.cache->block(comm.rank());
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    DenseMatrix out = fiber.allgatherv_rows(
-        dense_block(a, static_cast<Index>(v) * su.mc, su.mc,
-                    static_cast<Index>(u) * su.rL, su.rL),
-        su.layer_support, options().replication, codec);
-    if (cu.cache != nullptr) cu.cache->store(comm.rank(), out);
-    return out;
-  }
-
-  /// Pipelined replicate_a: same words and result, streamed in chunk-row
-  /// pieces with `deliver` fired per finalized slice row range.
-  void replicate_a_pipelined(Comm& comm, const Setup& su, int u, int v,
-                             const DenseMatrix& a, DenseMatrix& dest,
-                             const ChunkFn& deliver,
-                             const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    fiber.allgatherv_rows_pipelined(
-        dense_block(a, static_cast<Index>(v) * su.mc, su.mc,
-                    static_cast<Index>(u) * su.rL, su.rL),
-        su.layer_support, options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.mc), deliver, dest,
-        codec);
-  }
-
-  bool pipelined() const {
-    return options().schedule == ShiftSchedule::Pipelined;
-  }
-
-  /// Replicate A into dest: blocking under BSP/DB; under Pipelined the
-  /// returned prologue streams it into the following loop's step 0
-  /// instead (monolithic step-0 compute — pass the prologue to the loop
-  /// unconditionally, an unarmed one is ignored).
-  ShiftPrologue replication_prologue(Comm& comm, const Setup& su, int u,
-                                     int v, const DenseMatrix& a,
-                                     DenseMatrix& dest,
-                                     const WireCodec& codec,
-                                     const CacheUse& cu = {}) const {
-    ShiftPrologue pro;
-    if (pipelined()) {
-      pro.replicate = [this, &comm, &su, u, v, &a, &dest,
-                       codec](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, a, dest, deliver, codec);
-      };
-    } else {
-      dest = replicate_a(comm, su, u, v, a, codec, cu);
-    }
-    return pro;
-  }
-
-  /// Fiber reduce-scatter of the full-m SpMM-A partial slice; writes the
-  /// rank's mc x rL chunk of the output.
-  void reduce_partial(Comm& comm, const Setup& su, int u, int v,
-                      const DenseMatrix& partial, DenseMatrix& out,
-                      const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u));
-    auto chunk = fiber.reduce_scatter_rows(partial, su.layer_support,
-                                           options().replication, codec);
-    place_block(out, chunk, static_cast<Index>(v) * su.mc,
-                static_cast<Index>(u) * su.rL);
-  }
-
-  /// Circulate the layer's S pieces for L steps.
-  void s_loop(Comm& comm, int u, int v, bool mutates,
-              MessageWords start,
-              const std::function<void(int, MessageWords&)>& body,
-              const ShiftPrologue* prologue = nullptr,
-              const ShiftJournalHooks* state = nullptr) const {
-    const int L = grid_.layer_size();
-    const auto layer = grid_.layer_members(v);
-    ShiftChannel ch =
-        ring_channel(layer, u, kTagShift, mutates, std::move(start));
-    run_shift_loop(comm, options().schedule, L, {&ch, 1}, [&](int t) {
-      body((u + t) % L, ch.block);
-    }, prologue, nullptr, state);
-  }
-
-  /// The rank's home piece values — the rank-local sparse memory the
-  /// checkpoint store snapshots (non-home pieces conceptually arrive via
-  /// the ring payload from their own — also checkpointed — owners).
+  /// The rank's home piece values — its rank-local sparse memory
+  /// (non-home pieces conceptually arrive via the ring payload from
+  /// their own, also checkpointed, owners).
   std::vector<Scalar> shard_values(const Setup& su, int rank) const {
-    const auto& v = piece(su, grid_.v_of(rank), grid_.u_of(rank)).coo.values;
-    return {v.begin(), v.end()};
+    return concat_values({&piece(su, grid_.v_of(rank), grid_.u_of(rank))});
   }
 
-  /// Crash recovery for the unreplicated sparse-shift family: snapshot
-  /// every rank's home piece values into the checkpoint store before the
-  /// world runs; on_crash restores the scrubbed shard through the
-  /// digest check and the journaled shift loops resume past the last
-  /// jointly completed step.
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
-    }
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      ckpt->save_shard(rank, shard_values(su, rank));
-    }
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [cp](const CrashInfo& crash) {
-      cp->scrub(crash.rank);
-      cp->restore(crash.rank);
-    };
-    return wo;
-  }
+  class Rank final : public RankPasses {
+   public:
+    Rank(const SparseShift15D& f, const Setup& su, const RankRun& run)
+        : RankPasses(run),
+          f_(f),
+          su_(su),
+          u_(f.grid_.u_of(run.comm.rank())),
+          v_(f.grid_.v_of(run.comm.rank())),
+          L_(f.grid_.layer_size()),
+          home_({&f.piece(su, v_, u_)}, run.live),
+          b_local_(dense_block(run.b, static_cast<Index>(v_) * su.ncg,
+                               su.ncg, static_cast<Index>(u_) * su.rL,
+                               su.rL)),
+          fiber_(run, f.grid_.fiber_members(u_), su.layer_support,
+                 static_cast<Index>(v_) * su.mc, su.mc,
+                 static_cast<Index>(u_) * su.rL, su.rL),
+          s_ring_(run, f.grid_.layer_members(v_), u_, kTagShift) {}
 
-  /// Replicate A and circulate the home piece's dot payload for L steps
-  /// (the SDDMM pass shared by the kernel and FusedMM). Under Pipelined
-  /// the fiber all-gather streams as the loop prologue: the step-0 dots
-  /// accumulate chunk by chunk as slice rows arrive, then the payload is
-  /// repacked — bit-identical to the monolithic step (dots start at
-  /// zero and every entry's additions are unchanged). Returns the
-  /// replicated slice and the home piece's accumulated dot payload.
-  std::pair<DenseMatrix, Triplets> sddmm_pass(
-      Comm& comm, const Setup& su, int u, int v, const DenseMatrix& a,
-      const DenseMatrix& b_local, const WireCodec& codec,
-      const CacheUse& cu = {}) const {
-    const int L = grid_.layer_size();
-    DenseMatrix a_work;
-    Triplets start = piece(su, v, u).coo;
-    start.values.assign(start.size(), Scalar{0});
-    const auto layer = grid_.layer_members(v);
-    ShiftChannel ch = ring_channel(layer, u, kTagShift, /*mutates=*/true,
-                                   pack_triplets(start, codec));
-    const auto body = [&](int t) {
-      const int j = (u + t) % L;
-      auto payload = unpack_triplets(ch.block, codec);
-      comm.stats().add_flops(masked_dot_products(
-          piece(su, v, j).csr, a_work, b_local, payload.values));
-      ch.block = pack_triplets(payload, codec);
-    };
-    if (pipelined()) {
-      const auto& home = piece(su, v, u);
-      std::vector<Scalar> d0(home.coo.size(), Scalar{0});
+    /// Replicate the A slice and circulate the home piece's dot payload
+    /// for L steps; after the ring trip the resident payload is the home
+    /// piece again, its dots accumulated over every width slice. Under
+    /// Pipelined the fiber all-gather streams as the loop prologue: the
+    /// step-0 dots accumulate chunk by chunk as slice rows arrive, then
+    /// the payload is repacked — bit-identical to the monolithic step
+    /// (dots start at zero and every entry's additions are unchanged).
+    SddmmOut sddmm() override {
+      SddmmOut sd;
+      sd.pieces.push_back(home_.sampled(0));
+      Triplets start = home_.shard(0).coo;
+      start.values.assign(start.size(), Scalar{0});
+      ShiftChannel ch =
+          s_ring_.channel(/*mutates=*/true, pack_triplets(start, run_.codec));
+      const auto body = [&](int t) {
+        const int j = (u_ + t) % L_;
+        auto payload = unpack_triplets(ch.block, run_.codec);
+        comm_.stats().add_flops(masked_dot_products(
+            f_.piece(su_, v_, j).csr, sd.a_work, b_local_, payload.values));
+        ch.block = pack_triplets(payload, run_.codec);
+      };
+      ShiftPrologue pro = fiber_.prologue(sd.a_work, run_.cache);
+      std::vector<Scalar> d0(start.size(), Scalar{0});
+      if (run_.pipelined()) {
+        pro.compute_chunk = [&](Index row0, Index row1) {
+          comm_.stats().add_flops(masked_dot_products_rows(
+              home_.shard(0).csr, sd.a_work, b_local_, d0, row0, row1));
+        };
+        pro.finish_step0 = [&] {
+          auto payload = unpack_triplets(ch.block, run_.codec);
+          payload.values = std::move(d0);
+          ch.block = pack_triplets(payload, run_.codec);
+        };
+      }
+      run_shift_loop(comm_, run_.options.schedule, L_, {&ch, 1}, body,
+                     &pro);
+      sd.pieces[0].dots = unpack_triplets(ch.block, run_.codec).values;
+      return sd;
+    }
+
+    /// The S pieces circulate for L steps against the stationary dense
+    /// slices. The kernels multiply by the stored values (each rank reads
+    /// its own copy of every piece); FusedMM's pieces carry the SDDMM
+    /// outputs, which every consumer reads off the payload. SpMM-A
+    /// accumulates a full-m partial slice, reduce-scattered along the
+    /// fiber; SpMM-B accumulates the rank's output block in place,
+    /// reading the replicated A slice (re-replicated, unused, without
+    /// elision — SpMM-A never reads A, so it has nothing to repeat).
+    void spmm(const SpmmIn& in, DenseMatrix& out) override {
+      const bool a_side = in.orientation == FusedOrientation::A;
+      Triplets revalued;
+      const Triplets* start = &home_.shard(0).coo;
+      if (in.values != nullptr) {
+        revalued = *start;
+        revalued.values = (*in.values)[0];
+        start = &revalued;
+      }
+      DenseMatrix a_own;
       ShiftPrologue pro;
-      pro.replicate = [&](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, a, a_work, deliver, codec);
-      };
-      pro.compute_chunk = [&](Index row0, Index row1) {
-        comm.stats().add_flops(masked_dot_products_rows(
-            home.csr, a_work, b_local, d0, row0, row1));
-      };
-      pro.finish_step0 = [&] {
-        auto payload = unpack_triplets(ch.block, codec);
-        payload.values = std::move(d0);
-        ch.block = pack_triplets(payload, codec);
-      };
-      run_shift_loop(comm, options().schedule, L, {&ch, 1}, body, &pro);
-    } else {
-      a_work = replicate_a(comm, su, u, v, a, codec, cu);
-      run_shift_loop(comm, options().schedule, L, {&ch, 1}, body);
+      if (!a_side && (in.a_work == nullptr || in.repeat)) {
+        pro = fiber_.prologue(a_own, run_.cache);
+      }
+      const DenseMatrix& a_work = in.a_work != nullptr ? *in.a_work : a_own;
+      DenseMatrix acc = a_side ? DenseMatrix(su_.m, su_.rL)
+                               : DenseMatrix(su_.ncg, su_.rL);
+      const ShiftJournalHooks hooks = journal_dense(acc);
+      ShiftChannel ch = s_ring_.channel(/*mutates=*/false,
+                                        pack_triplets(*start, run_.codec));
+      run_shift_loop(comm_, run_.options.schedule, L_, {&ch, 1},
+                     [&](int t) {
+                       const int j = (u_ + t) % L_;
+                       CsrMatrix payload_csr;
+                       const CsrMatrix* csr = &f_.piece(su_, v_, j).csr;
+                       if (in.values != nullptr) {
+                         payload_csr = csr_with_values(
+                             *csr, unpack_triplets(ch.block, run_.codec)
+                                       .values);
+                         csr = &payload_csr;
+                       } else if (j == u_) {
+                         csr = &home_.csr(0);
+                       }
+                       comm_.stats().add_flops(
+                           a_side ? spmm_a(*csr, b_local_, acc)
+                                  : spmm_b(*csr, a_work, acc));
+                     },
+                     &pro, nullptr, &hooks);
+      if (a_side) {
+        fiber_.reduce(acc, out);
+        return;
+      }
+      PhaseScope scope(comm_.stats(), Phase::Computation);
+      place_block(out, acc, static_cast<Index>(v_) * su_.ncg,
+                  static_cast<Index>(u_) * su_.rL);
     }
-    return {std::move(a_work), unpack_triplets(ch.block, codec)};
-  }
 
+   private:
+    const SparseShift15D& f_;
+    const Setup& su_;
+    int u_;
+    int v_;
+    int L_;
+    LivePieces home_;
+    DenseMatrix b_local_;
+    Fiber fiber_;
+    /// The layer ring the S pieces circulate on (COO triplets are
+    /// already sparsity-sized: no column compression).
+    Ring s_ring_;
+  };
+
+ private:
   Grid15D grid_;
 };
-
-KernelResult SparseShift15D::do_run_kernel(const ExecContext& ctx,
-                                           Mode mode, const CooMatrix& s,
-                                           const DenseMatrix& a,
-                                           const DenseMatrix& b) const {
-  const Setup& su = setup_of(ctx);
-  KernelResult result;
-  if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix(su.m, su.r);
-  } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix(su.n, su.r);
-  } else {
-    result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
-                               Scalar{0});
-  }
-  const WireCodec codec = effective_wire_codec(options(), ctx);
-  // SpMMA never replicates A (its replication phase is the output
-  // reduce-scatter), so only the A-consuming modes consult the cache.
-  const CacheUse cu =
-      mode == Mode::SpMMA ? CacheUse{} : cache_use(ctx, options());
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
-    const int rank = comm.rank();
-    const int u = grid_.u_of(rank), v = grid_.v_of(rank);
-    const auto b_local = local_b(su, u, v, b);
-    // Fault mode reads the rank's home piece values through the
-    // checkpoint store's live copy instead of the shared setup table
-    // (non-home pieces conceptually arrive via the ring payload).
-    const std::vector<Scalar>* live = ckpt ? &ckpt->values(rank) : nullptr;
-    const CsrMatrix live_home =
-        live != nullptr ? csr_with_values(piece(su, v, u).csr, *live)
-                        : CsrMatrix();
-    const auto kernel_csr = [&](int j) -> const CsrMatrix& {
-      return live != nullptr && j == u ? live_home : piece(su, v, j).csr;
-    };
-    switch (mode) {
-      case Mode::SpMMA: {
-        DenseMatrix partial(su.m, su.rL);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.m, su.rL);
-        };
-        s_loop(comm, u, v, /*mutates=*/false,
-               pack_triplets(piece(su, v, u).coo, codec),
-               [&](int j, MessageWords&) {
-                 comm.stats().add_flops(
-                     spmm_a(kernel_csr(j), b_local, partial));
-               },
-               nullptr, &hooks);
-        reduce_partial(comm, su, u, v, partial, result.dense, codec);
-        return;
-      }
-      case Mode::SDDMM: {
-        // After L shifts the resident payload is the home piece again,
-        // its dot products accumulated over every width slice.
-        const auto [a_work, dots] =
-            sddmm_pass(comm, su, u, v, a, b_local, codec, cu);
-        (void)a_work;
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        const auto& home = piece(su, v, u);
-        std::vector<Scalar> vals(home.coo.size());
-        hadamard_values(live != nullptr
-                            ? std::span<const Scalar>(*live)
-                            : std::span<const Scalar>(home.coo.values),
-                        dots.values, vals);
-        comm.stats().add_flops(home.nnz());
-        scatter_values(vals, home.entries, result.sddmm_values);
-        return;
-      }
-      case Mode::SpMMB: {
-        // spmm_b accumulates across slice rows, so step 0 runs
-        // monolithically after the stream; the read-only S piece is
-        // still forwarded before replication starts.
-        DenseMatrix a_work;
-        const ShiftPrologue pro =
-            replication_prologue(comm, su, u, v, a, a_work, codec, cu);
-        DenseMatrix b_out(su.n / c(), su.rL);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(b_out); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          b_out = unpack_dense(words, su.n / c(), su.rL);
-        };
-        s_loop(comm, u, v, /*mutates=*/false,
-               pack_triplets(piece(su, v, u).coo, codec),
-               [&](int j, MessageWords&) {
-                 comm.stats().add_flops(
-                     spmm_b(kernel_csr(j), a_work, b_out));
-               },
-               &pro, &hooks);
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense, b_out,
-                    static_cast<Index>(v) * (su.n / c()),
-                    static_cast<Index>(u) * su.rL);
-        return;
-      }
-    }
-    fail("1.5D-SparseShift: unknown mode");
-  }, wo);
-  return result;
-}
-
-FusedResult SparseShift15D::do_run_fusedmm(const ExecContext& ctx,
-                                           FusedOrientation orientation,
-                                           Elision elision,
-                                           const CooMatrix&,
-                                           const DenseMatrix& a,
-                                           const DenseMatrix& b,
-                                           int repetitions) const {
-  const Setup& su = setup_of(ctx);
-  const WireCodec codec = effective_wire_codec(options(), ctx);
-  FusedResult result;
-  result.output = DenseMatrix(
-      orientation == FusedOrientation::A ? su.m : su.n, su.r);
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
-    const int rank = comm.rank();
-    const int u = grid_.u_of(rank), v = grid_.v_of(rank);
-    const auto b_local = local_b(su, u, v, b);
-    // Fault mode reads the rank's home piece values through the
-    // checkpoint store's live copy instead of the shared setup table.
-    const std::vector<Scalar>* live = ckpt ? &ckpt->values(rank) : nullptr;
-    for (int rep = 0; rep < repetitions; ++rep) {
-      // SDDMM pass: dot products circulate with the pieces (streamed
-      // replication prologue under Pipelined).
-      const auto [a_work, dots] =
-          sddmm_pass(comm, su, u, v, a, b_local, codec);
-      std::vector<Scalar> r_values(piece(su, v, u).coo.size());
-      {
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        hadamard_values(
-            live != nullptr
-                ? std::span<const Scalar>(*live)
-                : std::span<const Scalar>(piece(su, v, u).coo.values),
-            dots.values, r_values);
-        comm.stats().add_flops(piece(su, v, u).nnz());
-      }
-      // SpMM pass: pieces circulate carrying the SDDMM output values.
-      Triplets r_piece = piece(su, v, u).coo;
-      r_piece.values = r_values;
-      if (orientation == FusedOrientation::A) {
-        DenseMatrix partial(su.m, su.rL);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.m, su.rL);
-        };
-        s_loop(comm, u, v, /*mutates=*/false, pack_triplets(r_piece, codec),
-               [&](int j, MessageWords& block) {
-                 const auto payload = unpack_triplets(block, codec);
-                 comm.stats().add_flops(spmm_a(
-                     csr_with_values(piece(su, v, j).csr, payload.values),
-                     b_local, partial));
-               },
-               nullptr, &hooks);
-        reduce_partial(comm, su, u, v, partial, result.output, codec);
-      } else {
-        // Unelided sequence: the SpMM-B pass replicates A again instead
-        // of reusing the SDDMM pass's copy (result discarded; orientation
-        // A's SpMM pass never reads A, so it has nothing to
-        // re-replicate). Pipelined streams the repeat into this loop's
-        // step 0.
-        DenseMatrix discard;
-        ShiftPrologue pro;
-        if (elision == Elision::None) {
-          pro = replication_prologue(comm, su, u, v, a, discard, codec);
-        }
-        DenseMatrix b_out(su.n / c(), su.rL);
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(b_out); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          b_out = unpack_dense(words, su.n / c(), su.rL);
-        };
-        s_loop(comm, u, v, /*mutates=*/false, pack_triplets(r_piece, codec),
-               [&](int j, MessageWords& block) {
-                 const auto payload = unpack_triplets(block, codec);
-                 comm.stats().add_flops(spmm_b(
-                     csr_with_values(piece(su, v, j).csr, payload.values),
-                     a_work, b_out));
-               },
-               &pro, &hooks);
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output, b_out,
-                    static_cast<Index>(v) * (su.n / c()),
-                    static_cast<Index>(u) * su.rL);
-      }
-    }
-  }, wo);
-  return result;
-}
 
 } // namespace
 

@@ -15,51 +15,45 @@
 /// Cannon-style so the A and B slices resident on a rank always cover
 /// the same width range. SDDMM dot products accumulate in a stationary
 /// per-cell buffer and are summed across the fiber with one all-reduce.
-
-#include <optional>
+///
+/// Both families hold their sparse values redundantly, so a crashed
+/// rank's shard is rebuilt from a peer replica (row-ring peers for
+/// dense replication, fiber peers for sparse replication), falling back
+/// to the checkpoint store when no peer survives.
 
 #include "common/error.hpp"
-#include "dist/families.hpp"
-#include "dist/replication_cache.hpp"
+#include "dist/engine.hpp"
 #include "dist/grid.hpp"
 #include "local/schedule.hpp"
 #include "local/sddmm.hpp"
 #include "local/spmm.hpp"
-#include "runtime/collectives.hpp"
-#include "runtime/checkpoint.hpp"
-#include "runtime/recovery.hpp"
-#include "runtime/world.hpp"
 
 namespace dsk::detail {
 namespace {
 
+/// The peers of `rank` among `members` (everyone but itself).
+std::vector<int> peers_in(const std::vector<int>& members, int rank) {
+  std::vector<int> peers;
+  for (const int m : members) {
+    if (m != rank) peers.push_back(m);
+  }
+  return peers;
+}
+
 // --------------------------------------------------------- dense replicate
 
-class DenseRepl25D final : public DistAlgorithm {
+class DenseRepl25D final : public GridFamily<DenseRepl25D> {
  public:
   DenseRepl25D(int p, int c, const AlgorithmOptions& options)
-      : DistAlgorithm(AlgorithmKind::DenseRepl25D, p, c, options),
+      : GridFamily(AlgorithmKind::DenseRepl25D, p, c, options),
         grid_(p, c) {}
 
   bool supports(Elision elision) const override {
     return elision != Elision::LocalKernelFusion;
   }
 
- protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
-  }
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override;
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override;
+  static constexpr bool kCachesReplication = true;
 
- private:
   struct Setup {
     Index m = 0, n = 0, r = 0;
     Index mq = 0;  ///< S row-block height m / q
@@ -73,18 +67,6 @@ class DenseRepl25D final : public DistAlgorithm {
     /// fiber's c member supports are contiguous in fiber (w) order.
     std::vector<std::vector<Index>> support;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "2.5D-DenseRepl: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     const int q = grid_.q();
@@ -126,579 +108,257 @@ class DenseRepl25D final : public DistAlgorithm {
     return su;
   }
 
-  /// The c member supports of fiber (u, *), in fiber-position (w) order.
-  std::span<const std::vector<Index>> fiber_wants(const Setup& su,
-                                                 int u) const {
-    return {su.support.data() + static_cast<std::size_t>(u) *
-                                    static_cast<std::size_t>(c()),
-            static_cast<std::size_t>(c())};
-  }
-
   const SparseShard& piece(const Setup& su, int u, int k, int w) const {
     return su.pieces[static_cast<std::size_t>((u * grid_.q() + k) * c() +
                                               w)];
-  }
-
-  /// Fiber all-gather of the rank's canonical A chunk into its m/q x r/q
-  /// working block (row-sparse per options().replication). On a cache
-  /// hit the parked block is returned without touching the wire; on a
-  /// filling run the gathered block is parked for the next call.
-  DenseMatrix replicate_a(Comm& comm, const Setup& su, int u, int v,
-                          int w, const DenseMatrix& a,
-                          const WireCodec& codec,
-                          const CacheUse& cu = {}) const {
-    if (cu.hit) return cu.cache->block(comm.rank());
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u, v));
-    DenseMatrix out = fiber.allgatherv_rows(
-        dense_block(a, static_cast<Index>(u) * su.mq + w * su.mqc, su.mqc,
-                    static_cast<Index>(v) * su.rq, su.rq),
-        fiber_wants(su, u), options().replication, codec);
-    if (cu.cache != nullptr) cu.cache->store(comm.rank(), out);
-    return out;
-  }
-
-  /// Pipelined replicate_a: same words and result, streamed in chunk-row
-  /// pieces with `deliver` fired per finalized working-block row range.
-  void replicate_a_pipelined(Comm& comm, const Setup& su, int u, int v,
-                             int w, const DenseMatrix& a,
-                             DenseMatrix& dest, const ChunkFn& deliver,
-                             const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u, v));
-    fiber.allgatherv_rows_pipelined(
-        dense_block(a, static_cast<Index>(u) * su.mq + w * su.mqc, su.mqc,
-                    static_cast<Index>(v) * su.rq, su.rq),
-        fiber_wants(su, u), options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.mqc), deliver, dest,
-        codec);
-  }
-
-  bool pipelined() const {
-    return options().schedule == ShiftSchedule::Pipelined;
-  }
-
-  /// Replicate A into dest: blocking under BSP/DB; under Pipelined the
-  /// returned prologue streams it into the following loop's step 0
-  /// instead (monolithic step-0 compute — pass the prologue to the loop
-  /// unconditionally, an unarmed one is ignored).
-  ShiftPrologue replication_prologue(Comm& comm, const Setup& su, int u,
-                                     int v, int w, const DenseMatrix& a,
-                                     DenseMatrix& dest,
-                                     const WireCodec& codec,
-                                     const CacheUse& cu = {}) const {
-    ShiftPrologue pro;
-    if (pipelined()) {
-      pro.replicate = [this, &comm, &su, u, v, w, &a, &dest,
-                       codec](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, w, a, dest, deliver, codec);
-      };
-    } else {
-      dest = replicate_a(comm, su, u, v, w, a, codec, cu);
-    }
-    return pro;
-  }
-
-  /// Fiber reduce-scatter of the rank's m/q x r/q partial; writes its
-  /// canonical chunk of the A-shaped output.
-  void reduce_partial(Comm& comm, const Setup& su, int u, int v, int w,
-                      const DenseMatrix& partial, DenseMatrix& out,
-                      const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u, v));
-    auto chunk = fiber.reduce_scatter_rows(partial, fiber_wants(su, u),
-                                           options().replication, codec);
-    place_block(out, chunk,
-                static_cast<Index>(u) * su.mq + w * su.mqc,
-                static_cast<Index>(v) * su.rq);
-  }
-
-  /// Streaming reduce_partial: same words and result, but the collective
-  /// pulls partial rows just in time through `prepare` (the shift-loop
-  /// epilogue routes the final step's row-sliced kernel into it). The
-  /// partial is consumed.
-  void reduce_partial_pipelined(Comm& comm, const Setup& su, int u, int v,
-                                int w, DenseMatrix& partial,
-                                DenseMatrix& out, const ChunkFn& prepare,
-                                const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u, v));
-    auto chunk = fiber.reduce_scatter_rows_pipelined(
-        partial, fiber_wants(su, u), options().replication,
-        pipeline_chunk_rows(options().chunk_rows, su.mqc), prepare, codec);
-    place_block(out, chunk,
-                static_cast<Index>(u) * su.mq + w * su.mqc,
-                static_cast<Index>(v) * su.rq);
-  }
-
-  /// Column-support wire schedules of the circulating B blocks on the
-  /// column ring of (v, w) (inactive under Dense propagation): block k's
-  /// consumer at step t is the row-position u_t = (k - v - t) mod q,
-  /// touching exactly the rows in its piece-(u_t, k, w) column support.
-  ShiftCompression b_compression(const Setup& su, int u, int v, int w,
-                                 bool mutates,
-                                 const WireCodec& codec) const {
-    const int q = grid_.q();
-    return make_ring_compression(
-        options().propagation, su.nqc, su.rq, q, k_at(u, v, 0), mutates,
-        [this, &su, v, w, q](int origin,
-                             int step) -> std::span<const Index> {
-          const int consumer = ((origin - v - step) % q + q) % q;
-          return piece(su, consumer, origin, w).col_support;
-        },
-        codec);
   }
 
   /// The resident S / B column-block ring index at step t on rank
   /// (u, v, w): Cannon skew (u + v + t) mod q.
   int k_at(int u, int v, int t) const { return (u + v + t) % grid_.q(); }
 
-  /// Fault-mode world options. With crashes in the plan, `store` models
-  /// each rank's rank-local sparse memory — its home piece's values —
-  /// as replicated along its row ring (the ring traffic materializes a
-  /// copy of every circulating piece on every ring peer), and on_crash
-  /// scrubs the crashed rank and rebuilds the shard from a digest-valid
-  /// survivor. When no peer survives (q == 1 rings have no redundancy)
-  /// recovery falls back to the digest-verified checkpoint store and the
-  /// restored bytes are adopted back into the replica store. The kernels
-  /// then read home-piece values through the store (see live_values) so
-  /// the scrub/rebuild cycle touches the data the computation actually
-  /// uses.
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<ReplicaStore>& store,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
-    }
-    store.emplace(p());
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      const int u = grid_.u_of(rank), v = grid_.v_of(rank),
-                w = grid_.w_of(rank);
-      std::vector<int> peers;
-      for (const int m : grid_.row_members(u, w)) {
-        if (m != rank) peers.push_back(m);
+  /// The rank's home piece — its rank-local sparse memory, replicated
+  /// along its row ring (the ring traffic materializes a copy of every
+  /// circulating piece on every ring peer).
+  const SparseShard& home(const Setup& su, int rank) const {
+    const int u = grid_.u_of(rank), v = grid_.v_of(rank);
+    return piece(su, u, k_at(u, v, 0), grid_.w_of(rank));
+  }
+
+  std::vector<Scalar> shard_values(const Setup& su, int rank) const {
+    return concat_values({&home(su, rank)});
+  }
+
+  std::vector<int> replica_peers(int rank) const {
+    return peers_in(grid_.row_members(grid_.u_of(rank), grid_.w_of(rank)),
+                    rank);
+  }
+
+  class Rank final : public RankPasses {
+   public:
+    Rank(const DenseRepl25D& f, const Setup& su, const RankRun& run)
+        : RankPasses(run),
+          f_(f),
+          su_(su),
+          u_(f.grid_.u_of(run.comm.rank())),
+          v_(f.grid_.v_of(run.comm.rank())),
+          w_(f.grid_.w_of(run.comm.rank())),
+          q_(f.grid_.q()),
+          k0_(f.k_at(u_, v_, 0)),
+          home_({&f.home(su, run.comm.rank())}, run.live),
+          fiber_(run, f.grid_.fiber_members(u_, v_),
+                 {su.support.data() + static_cast<std::size_t>(u_) *
+                                          static_cast<std::size_t>(f.c()),
+                  static_cast<std::size_t>(f.c())},
+                 a_row0(), su.mqc, static_cast<Index>(v_) * su.rq, su.rq),
+          s_ring_(run, f.grid_.row_members(u_, w_), v_, kTagShift),
+          // Block k's consumer at step t is the row position
+          // (k - v - t) mod q, touching exactly its piece-(·, k, w)
+          // column support.
+          b_ring_(run, f.grid_.col_members(v_, w_), u_, kTagShiftDense,
+                  su.nqc, su.rq, k0_,
+                  [this](int origin, int step) -> std::span<const Index> {
+                    const int consumer = ((origin - v_ - step) % q_ + q_) % q_;
+                    return f_.piece(su_, consumer, origin, w_).col_support;
+                  }) {}
+
+    /// Replicate A and run the dot loop: S dots circulate on the row
+    /// ring, B blocks on the column ring. Under Pipelined the fiber
+    /// all-gather streams as the loop prologue: step-0 dots accumulate
+    /// chunk by chunk as working-block rows arrive, then the circulating
+    /// payload is repacked (bit-identical — dots start at zero and every
+    /// entry's additions are unchanged).
+    SddmmOut sddmm() override {
+      SddmmOut sd;
+      sd.pieces.push_back(home_.sampled(0));
+      const DenseMatrix b0 = b_home();
+      Triplets start = home_.shard(0).coo;
+      start.values.assign(start.size(), Scalar{0});
+      ShiftChannel channels[] = {
+          s_ring_.channel(/*mutates=*/true, pack_triplets(start, run_.codec)),
+          b_ring_.channel(/*mutates=*/false, pack_dense(b0))};
+      const auto body = [&](int t) {
+        auto payload = unpack_triplets(channels[0].block, run_.codec);
+        const auto bk = unpack_dense(channels[1].block, su_.nqc, su_.rq);
+        comm_.stats().add_flops(masked_dot_products(
+            f_.piece(su_, u_, k_at(t), w_).csr, sd.a_work, bk,
+            payload.values));
+        channels[0].block = pack_triplets(payload, run_.codec);
+      };
+      ShiftPrologue pro = fiber_.prologue(sd.a_work, run_.cache);
+      std::vector<Scalar> d0(start.size(), Scalar{0});
+      if (run_.pipelined()) {
+        pro.compute_chunk = [&](Index row0, Index row1) {
+          comm_.stats().add_flops(masked_dot_products_rows(
+              home_.shard(0).csr, sd.a_work, b0, d0, row0, row1));
+        };
+        pro.finish_step0 = [&] {
+          auto payload = unpack_triplets(channels[0].block, run_.codec);
+          payload.values = std::move(d0);
+          channels[0].block = pack_triplets(payload, run_.codec);
+        };
       }
-      const auto& shard = piece(su, u, k_at(u, v, 0), w).coo.values;
-      ckpt->save_shard(rank, {shard.begin(), shard.end()});
-      store->set_shard(rank, shard, std::move(peers));
+      run_shift_loop(comm_, run_.options.schedule, q_, channels, body,
+                     &pro);
+      sd.pieces[0].dots =
+          unpack_triplets(channels[0].block, run_.codec).values;
+      return sd;
     }
-    store->finalize();
-    ReplicaStore* sp = &*store;
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [sp, cp](const CrashInfo& crash) {
-      sp->scrub(crash.rank);
-      if (sp->can_reconstruct(crash.rank)) {
-        sp->reconstruct(crash.rank);
-      } else {
-        cp->restore(crash.rank);
-        sp->adopt(crash.rank, cp->values(crash.rank));
+
+    /// S pieces circulate on the row ring with their values — the stored
+    /// ones for the kernels (which read their own copies), the SDDMM
+    /// outputs for FusedMM (read off the payload) — and the B-side
+    /// blocks on the column ring: read-only inputs for SpMM-A, whose
+    /// A-shaped partial stays put and is reduce-scattered along the
+    /// fiber (streamed out of the last step under Pipelined), or
+    /// circulating accumulators for SpMM-B. Without elision the SpMM
+    /// pass replicates A again in either orientation (result discarded,
+    /// streamed into step 0 under Pipelined); the SpMM-B kernel
+    /// replicates its own. spmm_b accumulates across working-block rows,
+    /// so its step 0 runs monolithically after a Pipelined stream; the
+    /// read-only S piece is still forwarded before replication starts.
+    void spmm(const SpmmIn& in, DenseMatrix& out) override {
+      const bool a_side = in.orientation == FusedOrientation::A;
+      Triplets home_piece = home_.shard(0).coo;
+      if (in.values != nullptr) {
+        home_piece.values = (*in.values)[0];
+      } else if (run_.live != nullptr) {
+        home_piece.values = *run_.live;
       }
-    };
-    return wo;
-  }
-
-  /// Global row of B column block k (for layer w).
-  Index b_row0(const Setup& su, int k, int w) const {
-    return (static_cast<Index>(k) * c() + w) * su.nqc;
-  }
-
-  /// The v-th width slice of B column block k0 — the B payload resident
-  /// on rank (u, v, w) at step 0.
-  DenseMatrix b0_block(const Setup& su, int k0, int v, int w,
-                       const DenseMatrix& b) const {
-    return b.row_block(b_row0(su, k0, w), b_row0(su, k0, w) + su.nqc)
-        .col_block(static_cast<Index>(v) * su.rq,
-                   (v + 1) * static_cast<Index>(su.rq));
-  }
-
-  /// Replicate A and run the SDDMM dot loop (S dots circulate on the row
-  /// ring, B blocks on the column ring) — shared by the SDDMM kernel and
-  /// the FusedMM SDDMM pass. Under Pipelined the fiber all-gather
-  /// streams as the loop prologue: step-0 dots accumulate chunk by chunk
-  /// as working-block rows arrive, then the circulating payload is
-  /// repacked (bit-identical — dots start at zero and every entry's
-  /// additions are unchanged). Returns the working block and the home
-  /// piece's accumulated dot payload.
-  std::pair<DenseMatrix, Triplets> sddmm_pass(Comm& comm, const Setup& su,
-                                              int u, int v, int w,
-                                              const DenseMatrix& a,
-                                              const DenseMatrix& b,
-                                              const WireCodec& codec,
-                                              const CacheUse& cu = {}) const {
-    const int q = grid_.q();
-    const int k0 = k_at(u, v, 0);
-    const auto row_ring = grid_.row_members(u, w);
-    const auto col_ring = grid_.col_members(v, w);
-    const DenseMatrix b0 = b0_block(su, k0, v, w, b);
-    DenseMatrix a_work;
-    Triplets start = piece(su, u, k0, w).coo;
-    start.values.assign(start.size(), Scalar{0});
-    ShiftChannel chs = ring_channel(row_ring, v, kTagShift,
-                                    /*mutates=*/true,
-                                    pack_triplets(start, codec));
-    ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                    /*mutates=*/false, pack_dense(b0));
-    const ShiftCompression bcomp =
-        b_compression(su, u, v, w, /*mutates=*/false, codec);
-    chb.compression = &bcomp;
-    ShiftChannel channels[] = {std::move(chs), std::move(chb)};
-    const auto body = [&](int t) {
-      const int k = k_at(u, v, t);
-      auto payload = unpack_triplets(channels[0].block, codec);
-      const auto bk = unpack_dense(channels[1].block, su.nqc, su.rq);
-      comm.stats().add_flops(masked_dot_products(
-          piece(su, u, k, w).csr, a_work, bk, payload.values));
-      channels[0].block = pack_triplets(payload, codec);
-    };
-    if (pipelined()) {
-      const auto& home = piece(su, u, k0, w);
-      std::vector<Scalar> d0(home.coo.size(), Scalar{0});
+      DenseMatrix a_own;
       ShiftPrologue pro;
-      pro.replicate = [&](const ChunkFn& deliver) {
-        replicate_a_pipelined(comm, su, u, v, w, a, a_work, deliver,
-                              codec);
+      if (in.a_work != nullptr ? in.repeat : !a_side) {
+        pro = fiber_.prologue(a_own, run_.cache);
+      }
+      const DenseMatrix& a_work = in.a_work != nullptr ? *in.a_work : a_own;
+      ShiftChannel channels[] = {
+          s_ring_.channel(/*mutates=*/false,
+                          pack_triplets(home_piece, run_.codec)),
+          a_side ? b_ring_.channel(/*mutates=*/false, pack_dense(b_home()))
+                 : b_ring_.channel(/*mutates=*/true,
+                                   pack_dense(DenseMatrix(su_.nqc, su_.rq)))};
+      // The CSR the step-t piece multiplies by (revalued into scratch
+      // from the payload under FusedMM).
+      const auto csr_at = [&](int t, CsrMatrix& scratch) -> const CsrMatrix& {
+        const int k = k_at(t);
+        if (in.values == nullptr) {
+          return k == k0_ ? home_.csr(0) : f_.piece(su_, u_, k, w_).csr;
+        }
+        scratch = csr_with_values(
+            f_.piece(su_, u_, k, w_).csr,
+            unpack_triplets(channels[0].block, run_.codec).values);
+        return scratch;
       };
-      pro.compute_chunk = [&](Index row0, Index row1) {
-        comm.stats().add_flops(masked_dot_products_rows(
-            home.csr, a_work, b0, d0, row0, row1));
-      };
-      pro.finish_step0 = [&] {
-        auto payload = unpack_triplets(channels[0].block, codec);
-        payload.values = std::move(d0);
-        channels[0].block = pack_triplets(payload, codec);
-      };
-      run_shift_loop(comm, options().schedule, q, channels, body, &pro);
-    } else {
-      a_work = replicate_a(comm, su, u, v, w, a, codec, cu);
-      run_shift_loop(comm, options().schedule, q, channels, body);
+      if (!a_side) {
+        run_shift_loop(comm_, run_.options.schedule, q_, channels,
+                       [&](int t) {
+                         CsrMatrix scratch;
+                         auto acc =
+                             unpack_dense(channels[1].block, su_.nqc, su_.rq);
+                         comm_.stats().add_flops(
+                             spmm_b(csr_at(t, scratch), a_work, acc));
+                         channels[1].block = pack_dense(acc);
+                       },
+                       &pro);
+        PhaseScope scope(comm_.stats(), Phase::Computation);
+        place_block(out, unpack_dense(channels[1].block, su_.nqc, su_.rq),
+                    b_row0(k0_), static_cast<Index>(v_) * su_.rq);
+        return;
+      }
+      DenseMatrix partial(su_.mq, su_.rq);
+      ShiftEpilogue epi;
+      DenseMatrix b_last;
+      CsrMatrix last_scratch;
+      const CsrMatrix* s_last = nullptr;
+      if (run_.pipelined()) {
+        epi.compute_chunk = [&](Index row0, Index row1) {
+          if (s_last == nullptr) {
+            // The final step's S payload and B block are materialized on
+            // the first prepare pull.
+            b_last = unpack_dense(channels[1].block, su_.nqc, su_.rq);
+            s_last = &csr_at(q_ - 1, last_scratch);
+          }
+          comm_.stats().add_flops(
+              spmm_a_rows(*s_last, b_last, partial, row0, row1));
+        };
+        epi.reduce = [&](const ChunkFn& prepare) {
+          fiber_.reduce_streamed(partial, out, prepare);
+        };
+      }
+      const ShiftJournalHooks hooks = journal_dense(partial);
+      run_shift_loop(comm_, run_.options.schedule, q_, channels,
+                     [&](int t) {
+                       CsrMatrix scratch;
+                       const auto bk =
+                           unpack_dense(channels[1].block, su_.nqc, su_.rq);
+                       comm_.stats().add_flops(
+                           spmm_a(csr_at(t, scratch), bk, partial));
+                     },
+                     &pro, &epi, &hooks);
+      if (!run_.pipelined()) fiber_.reduce(partial, out);
     }
-    return {std::move(a_work), unpack_triplets(channels[0].block, codec)};
-  }
 
+   private:
+    int k_at(int t) const { return f_.k_at(u_, v_, t); }
+
+    Index a_row0() const {
+      return static_cast<Index>(u_) * su_.mq + w_ * su_.mqc;
+    }
+
+    /// Global row of B column block k (for layer w).
+    Index b_row0(int k) const {
+      return (static_cast<Index>(k) * f_.c() + w_) * su_.nqc;
+    }
+
+    /// The v-th width slice of B column block k0 — the B payload
+    /// resident here at step 0.
+    DenseMatrix b_home() const {
+      return run_.b.row_block(b_row0(k0_), b_row0(k0_) + su_.nqc)
+          .col_block(static_cast<Index>(v_) * su_.rq,
+                     (v_ + 1) * static_cast<Index>(su_.rq));
+    }
+
+    const DenseRepl25D& f_;
+    const Setup& su_;
+    int u_;
+    int v_;
+    int w_;
+    int q_;
+    int k0_;
+    LivePieces home_;
+    Fiber fiber_;
+    /// The row ring of the S pieces (COO triplets, uncompressed) and the
+    /// column ring of the B blocks and B-shaped accumulators.
+    Ring s_ring_;
+    Ring b_ring_;
+  };
+
+ private:
   Grid25D grid_;
 };
 
-KernelResult DenseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
-                                         const CooMatrix& s,
-                                         const DenseMatrix& a,
-                                         const DenseMatrix& b) const {
-  const Setup& su = setup_of(ctx);
-  KernelResult result;
-  if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix(su.m, su.r);
-  } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix(su.n, su.r);
-  } else {
-    result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
-                               Scalar{0});
-  }
-  const int q = grid_.q();
-  const WireCodec codec = effective_wire_codec(options(), ctx);
-  std::optional<ReplicaStore> store;
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, store, ckpt);
-  // One driver-thread cache decision for the whole run; SpMMA never
-  // consults the cache (its Replication phase is the output
-  // reduce-scatter, not a reusable input gather).
-  const CacheUse cu =
-      mode == Mode::SpMMA ? CacheUse{} : cache_use(ctx, options());
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
-    const int rank = comm.rank();
-    const int u = grid_.u_of(rank), v = grid_.v_of(rank),
-              w = grid_.w_of(rank);
-    const int k0 = k_at(u, v, 0);
-    const auto row_ring = grid_.row_members(u, w);
-    const auto col_ring = grid_.col_members(v, w);
-    // Crash mode: the rank's home-piece values live in the replica
-    // store (scrubbed and rebuilt across recoveries); everything the
-    // kernels read of them routes through here. Fault-free this is the
-    // setup table itself — zero overhead, bit-identical.
-    const std::vector<Scalar>* live =
-        store ? &store->values(rank) : nullptr;
-    const auto home_triplets = [&] {
-      Triplets t = piece(su, u, k0, w).coo;
-      if (live != nullptr) t.values = *live;
-      return t;
-    };
-    const CsrMatrix live_home_csr =
-        live != nullptr ? csr_with_values(piece(su, u, k0, w).csr, *live)
-                        : CsrMatrix();
-    const auto kernel_csr = [&](int k) -> const CsrMatrix& {
-      return live != nullptr && k == k0 ? live_home_csr
-                                        : piece(su, u, k, w).csr;
-    };
-    switch (mode) {
-      case Mode::SpMMA: {
-        // S pieces (with values) and B blocks circulate; the A-shaped
-        // partial stays put and is reduce-scattered along the fiber —
-        // blocking under BSP/DB; under Pipelined the reduce-scatter
-        // streams out of the loop's last step, pulling the final
-        // piece's spmm_a rows just in time.
-        ShiftChannel chs =
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
-                         pack_triplets(home_triplets(), codec));
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/false,
-            pack_dense(b.row_block(b_row0(su, k0, w),
-                                   b_row0(su, k0, w) + su.nqc)
-                           .col_block(static_cast<Index>(v) * su.rq,
-                                      (v + 1) * static_cast<Index>(su.rq))));
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, w, /*mutates=*/false, codec);
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(chs), std::move(chb)};
-        DenseMatrix partial(su.mq, su.rq);
-        ShiftEpilogue epi;
-        DenseMatrix b_last;
-        bool last_ready = false;
-        if (pipelined()) {
-          const int k_last = k_at(u, v, q - 1);
-          epi.compute_chunk = [&, k_last](Index row0, Index row1) {
-            if (!last_ready) {
-              b_last = unpack_dense(channels[1].block, su.nqc, su.rq);
-              last_ready = true;
-            }
-            comm.stats().add_flops(spmm_a_rows(
-                kernel_csr(k_last), b_last, partial, row0, row1));
-          };
-          epi.reduce = [&](const ChunkFn& prepare) {
-            reduce_partial_pipelined(comm, su, u, v, w, partial,
-                                     result.dense, prepare, codec);
-          };
-        }
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.mq, su.rq);
-        };
-        run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
-          const int k = k_at(u, v, t);
-          const auto bk = unpack_dense(channels[1].block, su.nqc, su.rq);
-          comm.stats().add_flops(spmm_a(kernel_csr(k), bk, partial));
-        }, nullptr, &epi, &hooks);
-        if (!pipelined()) {
-          reduce_partial(comm, su, u, v, w, partial, result.dense, codec);
-        }
-        return;
-      }
-      case Mode::SDDMM: {
-        const auto [a_work, dots] =
-            sddmm_pass(comm, su, u, v, w, a, b, codec, cu);
-        (void)a_work;
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        const auto& home = piece(su, u, k0, w);
-        const auto& home_values =
-            live != nullptr ? *live : home.coo.values;
-        std::vector<Scalar> vals(home.coo.size());
-        hadamard_values(home_values, dots.values, vals);
-        comm.stats().add_flops(home.nnz());
-        scatter_values(vals, home.entries, result.sddmm_values);
-        return;
-      }
-      case Mode::SpMMB: {
-        // spmm_b accumulates across working-block rows, so step 0 runs
-        // monolithically after the stream; the read-only S piece is
-        // still forwarded before replication starts.
-        DenseMatrix a_work;
-        const ShiftPrologue pro =
-            replication_prologue(comm, su, u, v, w, a, a_work, codec, cu);
-        ShiftChannel chs =
-            ring_channel(row_ring, v, kTagShift, /*mutates=*/false,
-                         pack_triplets(home_triplets(), codec));
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.nqc, su.rq)));
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, w, /*mutates=*/true, codec);
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(chs), std::move(chb)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
-          const int k = k_at(u, v, t);
-          auto acc = unpack_dense(channels[1].block, su.nqc, su.rq);
-          comm.stats().add_flops(spmm_b(kernel_csr(k), a_work, acc));
-          channels[1].block = pack_dense(acc);
-        }, &pro);
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense,
-                    unpack_dense(channels[1].block, su.nqc, su.rq),
-                    b_row0(su, k0, w), static_cast<Index>(v) * su.rq);
-        return;
-      }
-    }
-    fail("2.5D-DenseRepl: unknown mode");
-  }, wo);
-  return result;
-}
-
-FusedResult DenseRepl25D::do_run_fusedmm(const ExecContext& ctx,
-                                         FusedOrientation orientation,
-                                         Elision elision,
-                                         const CooMatrix&,
-                                         const DenseMatrix& a,
-                                         const DenseMatrix& b,
-                                         int repetitions) const {
-  const Setup& su = setup_of(ctx);
-  const int q = grid_.q();
-  const WireCodec codec = effective_wire_codec(options(), ctx);
-  FusedResult result;
-  result.output = DenseMatrix(
-      orientation == FusedOrientation::A ? su.m : su.n, su.r);
-  std::optional<ReplicaStore> store;
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, store, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
-    const int rank = comm.rank();
-    const int u = grid_.u_of(rank), v = grid_.v_of(rank),
-              w = grid_.w_of(rank);
-    const int k0 = k_at(u, v, 0);
-    const auto row_ring = grid_.row_members(u, w);
-    const auto col_ring = grid_.col_members(v, w);
-    const std::vector<Scalar>* live =
-        store ? &store->values(rank) : nullptr;
-    const auto b_block = [&] {
-      return pack_dense(b0_block(su, k0, v, w, b));
-    };
-    for (int rep = 0; rep < repetitions; ++rep) {
-      // SDDMM pass: dots circulate with the S pieces, B input blocks
-      // circulate on the column ring (streamed replication prologue
-      // under Pipelined).
-      const auto [a_work, dots] =
-          sddmm_pass(comm, su, u, v, w, a, b, codec);
-      std::vector<Scalar> r_values;
-      {
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        const auto& home = piece(su, u, k0, w);
-        const auto& home_values =
-            live != nullptr ? *live : home.coo.values;
-        r_values.resize(home.coo.size());
-        hadamard_values(home_values, dots.values, r_values);
-        comm.stats().add_flops(home.nnz());
-      }
-      // Unelided sequence: the SpMM pass replicates A again (result
-      // discarded — the gathered bits are unchanged). Pipelined streams
-      // the repeat into the SpMM pass's step 0.
-      DenseMatrix discard;
-      ShiftPrologue pro;
-      if (elision == Elision::None) {
-        pro = replication_prologue(comm, su, u, v, w, a, discard, codec);
-      }
-      // SpMM pass: the S pieces circulate carrying the SDDMM output.
-      Triplets r_piece = piece(su, u, k0, w).coo;
-      r_piece.values = r_values;
-      ShiftChannel chs = ring_channel(row_ring, v, kTagShift,
-                                      /*mutates=*/false,
-                                      pack_triplets(r_piece, codec));
-      if (orientation == FusedOrientation::A) {
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_block());
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, w, /*mutates=*/false, codec);
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(chs), std::move(chb)};
-        DenseMatrix partial(su.mq, su.rq);
-        // Streamed reduce out of the last step under Pipelined, exactly
-        // as in the SpMMA kernel; the final step's S payload and B
-        // block are materialized on the first prepare pull.
-        ShiftEpilogue epi;
-        DenseMatrix b_last;
-        CsrMatrix s_last;
-        bool last_ready = false;
-        if (pipelined()) {
-          const int k_last = k_at(u, v, q - 1);
-          epi.compute_chunk = [&, k_last](Index row0, Index row1) {
-            if (!last_ready) {
-              b_last = unpack_dense(channels[1].block, su.nqc, su.rq);
-              s_last = csr_with_values(
-                  piece(su, u, k_last, w).csr,
-                  unpack_triplets(channels[0].block, codec).values);
-              last_ready = true;
-            }
-            comm.stats().add_flops(
-                spmm_a_rows(s_last, b_last, partial, row0, row1));
-          };
-          epi.reduce = [&](const ChunkFn& prepare) {
-            reduce_partial_pipelined(comm, su, u, v, w, partial,
-                                     result.output, prepare, codec);
-          };
-        }
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] { return pack_dense(partial); };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          partial = unpack_dense(words, su.mq, su.rq);
-        };
-        run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
-          const int k = k_at(u, v, t);
-          const auto payload = unpack_triplets(channels[0].block, codec);
-          const auto bk = unpack_dense(channels[1].block, su.nqc, su.rq);
-          comm.stats().add_flops(
-              spmm_a(csr_with_values(piece(su, u, k, w).csr,
-                                     payload.values),
-                     bk, partial));
-        }, &pro, &epi, &hooks);
-        if (!pipelined()) {
-          reduce_partial(comm, su, u, v, w, partial, result.output, codec);
-        }
-      } else {
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.nqc, su.rq)));
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, w, /*mutates=*/true, codec);
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(chs), std::move(chb)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int t) {
-          const int k = k_at(u, v, t);
-          const auto payload = unpack_triplets(channels[0].block, codec);
-          auto acc = unpack_dense(channels[1].block, su.nqc, su.rq);
-          comm.stats().add_flops(
-              spmm_b(csr_with_values(piece(su, u, k, w).csr,
-                                     payload.values),
-                     a_work, acc));
-          channels[1].block = pack_dense(acc);
-        }, &pro);
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output,
-                    unpack_dense(channels[1].block, su.nqc, su.rq),
-                    b_row0(su, k0, w), static_cast<Index>(v) * su.rq);
-      }
-    }
-  }, wo);
-  return result;
-}
-
 // -------------------------------------------------------- sparse replicate
 
-class SparseRepl25D final : public DistAlgorithm {
+class SparseRepl25D final : public GridFamily<SparseRepl25D> {
  public:
   SparseRepl25D(int p, int c, const AlgorithmOptions& options)
-      : DistAlgorithm(AlgorithmKind::SparseRepl25D, p, c, options),
+      : GridFamily(AlgorithmKind::SparseRepl25D, p, c, options),
         grid_(p, c) {}
 
   bool supports(Elision elision) const override {
     return elision == Elision::None;
   }
 
- protected:
-  std::shared_ptr<const PlanData> do_make_plan(const CooMatrix& s,
-                                               Index r) const override {
-    return std::make_shared<Snapshot>(make_setup(s, r));
-  }
-  KernelResult do_run_kernel(const ExecContext& ctx, Mode mode,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b) const override;
-  FusedResult do_run_fusedmm(const ExecContext& ctx,
-                             FusedOrientation orientation, Elision elision,
-                             const CooMatrix& s, const DenseMatrix& a,
-                             const DenseMatrix& b,
-                             int repetitions) const override;
+  /// The replication traffic of this family is already sparsity-sized
+  /// (values and dot buffers, no dense row blocks): there is no A fiber
+  /// to cache, the options().replication knob has nothing to elide
+  /// (SparseRows and Auto behave exactly like Dense), and the Pipelined
+  /// schedule has no dense row stream to chunk, so it runs as
+  /// DoubleBuffered. The PROPAGATION knob, by contrast, bites twice:
+  /// both circulating dense slices compress against the stationary
+  /// cells' supports (A by rows, B by columns).
+  static constexpr bool kCachesReplication = false;
 
- private:
   struct Setup {
     Index m = 0, n = 0, r = 0;
     Index mq = 0;  ///< cell height m / q
@@ -710,18 +370,6 @@ class SparseRepl25D final : public DistAlgorithm {
     /// monotone offsets into the cell's entry range).
     std::vector<std::vector<Index>> value_split;
   };
-
-  struct Snapshot final : PlanData {
-    explicit Snapshot(Setup setup) : su(std::move(setup)) {}
-    Setup su;
-  };
-
-  const Setup& setup_of(const ExecContext& ctx) const {
-    const auto* snap = dynamic_cast<const Snapshot*>(ctx.plan);
-    check(snap != nullptr,
-          "2.5D-SparseRepl: ExecContext plan was not built by this driver");
-    return snap->su;
-  }
 
   Setup make_setup(const CooMatrix& s, Index r) const {
     const int q = grid_.q();
@@ -756,438 +404,204 @@ class SparseRepl25D final : public DistAlgorithm {
     return su;
   }
 
-  const SparseShard& cell(const Setup& su, int u, int v) const {
-    return su.cells[static_cast<std::size_t>(u * grid_.q() + v)];
+  std::size_t cell_index(int rank) const {
+    return static_cast<std::size_t>(grid_.u_of(rank) * grid_.q() +
+                                    grid_.v_of(rank));
   }
 
-  /// The skewed width-slice index resident on rank (u, v, w) at step t.
-  Index slice_at(int u, int v, int w, int t) const {
-    return static_cast<Index>(((u + v + t) % grid_.q()) * c() + w);
+  /// The rank's canonical value_split[w] slice of its cell — its
+  /// rank-local sparse memory, replicated across the c fiber ranks by
+  /// every value gather (so c == 1 fibers have no redundancy).
+  std::vector<Scalar> shard_values(const Setup& su, int rank) const {
+    const auto& values = su.cells[cell_index(rank)].coo.values;
+    const auto& split = su.value_split[cell_index(rank)];
+    const auto w = static_cast<std::size_t>(grid_.w_of(rank));
+    return {values.begin() + split[w], values.begin() + split[w + 1]};
   }
 
-  /// Support wire schedules of the circulating dense slices (inactive
-  /// under Dense propagation). The A slices ride the row ring of
-  /// (u, *, w): the consumer at step t of the slice originating at ring
-  /// position o sits at position (o - t) mod q and touches exactly the
-  /// ROW support of its stationary cell (u, ·). Symmetrically the B
-  /// slices ride the column ring of (*, v, w) against the cells'
-  /// COLUMN supports. Both directions cover the read-only inputs and
-  /// the circulating SpMM accumulators (same supports, prefix unions).
-  ShiftCompression a_compression(const Setup& su, int u, int v,
-                                 bool mutates,
-                                 const WireCodec& codec) const {
-    const int q = grid_.q();
-    return make_ring_compression(
-        options().propagation, su.mq, su.rqc, q, v, mutates,
-        [this, &su, u, q](int origin,
-                          int step) -> std::span<const Index> {
-          const int consumer = ((origin - step) % q + q) % q;
-          return cell(su, u, consumer).row_support;
-        },
-        codec);
-  }
-  ShiftCompression b_compression(const Setup& su, int u, int v,
-                                 bool mutates,
-                                 const WireCodec& codec) const {
-    const int q = grid_.q();
-    return make_ring_compression(
-        options().propagation, su.nq, su.rqc, q, u, mutates,
-        [this, &su, v, q](int origin,
-                          int step) -> std::span<const Index> {
-          const int consumer = ((origin - step) % q + q) % q;
-          return cell(su, consumer, v).col_support;
-        },
-        codec);
+  std::vector<int> replica_peers(int rank) const {
+    return peers_in(
+        grid_.fiber_members(grid_.u_of(rank), grid_.v_of(rank)), rank);
   }
 
-  /// All-gather the cell's canonically split values along the fiber;
-  /// returns the full value vector (cost: (c-1)/c * cell_nnz words).
-  /// The replication traffic of this family is already sparsity-sized
-  /// (values and dot buffers, no dense row blocks), so the
-  /// options().replication knob has nothing to elide here: SparseRows
-  /// and Auto behave exactly like Dense. The same goes for the Pipelined
-  /// schedule — there is no dense row stream to chunk, so it runs as
-  /// DoubleBuffered. The PROPAGATION knob, by contrast, bites twice in
-  /// this family: both circulating dense slices compress against the
-  /// stationary cells' supports (A by rows, B by columns) — see
-  /// a_compression / b_compression below.
-  std::vector<Scalar> gather_values(Comm& comm, const Setup& su, int u,
-                                    int v, int w,
-                                    const std::vector<Scalar>* live,
-                                    const WireCodec& codec) const {
-    PhaseScope scope(comm.stats(), Phase::Replication);
-    Group fiber(comm, grid_.fiber_members(u, v));
-    const auto& split = su.value_split[static_cast<std::size_t>(
-        u * grid_.q() + v)];
-    const auto& values = cell(su, u, v).coo.values;
-    const auto begin = static_cast<std::size_t>(
-        split[static_cast<std::size_t>(w)]);
-    const auto end = static_cast<std::size_t>(
-        split[static_cast<std::size_t>(w) + 1]);
-    // Crash mode routes the rank's canonical slice through the replica
-    // store — exactly the memory a crash scrubs and a recovery rebuilds.
-    const auto slice =
-        live != nullptr
-            ? std::span<const Scalar>(*live)
-            : std::span<const Scalar>(values.data() + begin, end - begin);
-    // Low-precision payloads pad each member's last word, so the gathered
-    // stream is decoded member by member against the canonical split
-    // (the counts travel out of band with the plan).
-    std::vector<std::size_t> offsets;
-    const auto words =
-        fiber.allgather_words(pack_values(slice, codec), &offsets);
-    std::vector<Scalar> full;
-    full.reserve(values.size());
-    for (int i = 0; i < c(); ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      const MessageWords chunk(
-          words.begin() + static_cast<std::ptrdiff_t>(offsets[ii]),
-          words.begin() + static_cast<std::ptrdiff_t>(offsets[ii + 1]));
-      const auto vals = unpack_values(
-          chunk, static_cast<std::int64_t>(split[ii + 1] - split[ii]),
-          codec);
-      full.insert(full.end(), vals.begin(), vals.end());
+  class Rank final : public RankPasses {
+   public:
+    Rank(const SparseRepl25D& f, const Setup& su, const RankRun& run)
+        : RankPasses(run),
+          f_(f),
+          su_(su),
+          u_(f.grid_.u_of(run.comm.rank())),
+          v_(f.grid_.v_of(run.comm.rank())),
+          w_(f.grid_.w_of(run.comm.rank())),
+          q_(f.grid_.q()),
+          s0_(static_cast<Index>(((u_ + v_) % q_) * f.c() + w_)),
+          cell_(su.cells[f.cell_index(run.comm.rank())]),
+          split_(su.value_split[f.cell_index(run.comm.rank())]),
+          fiber_(run.comm, f.grid_.fiber_members(u_, v_)),
+          // The slice originating at ring position o is consumed at step t
+          // by position (o - t) mod q: the A slices against the ROW
+          // support of cell (u, ·), the B slices against the COLUMN
+          // support of cell (·, v).
+          a_ring_(run, f.grid_.row_members(u_, w_), v_, kTagShift, su.mq,
+                  su.rqc, v_,
+                  [this](int origin, int step) -> std::span<const Index> {
+                    return cell(u_, ((origin - step) % q_ + q_) % q_)
+                        .row_support;
+                  }),
+          b_ring_(run, f.grid_.col_members(v_, w_), u_, kTagShiftDense,
+                  su.nq, su.rqc, u_,
+                  [this](int origin, int step) -> std::span<const Index> {
+                    return cell(((origin - step) % q_ + q_) % q_, v_)
+                        .col_support;
+                  }) {}
+
+    /// Both dense slices circulate while the cell's dot buffer stays put;
+    /// the fiber then sums the partial dots with one all-reduce.
+    SddmmOut sddmm() override {
+      values_ = gather_values();
+      SddmmOut sd;
+      sd.pieces.push_back({values_, cell_.entries,
+                           std::vector<Scalar>(cell_.coo.size(), Scalar{0})});
+      ShiftChannel channels[] = {a_ring_.channel(/*mutates=*/false, a_home()),
+                                 b_ring_.channel(/*mutates=*/false, b_home())};
+      const ShiftJournalHooks hooks = journal_dots(sd.pieces);
+      run_shift_loop(comm_, run_.options.schedule, q_, channels,
+                     [&](int) {
+                       const auto ak = unpack_dense(channels[0].block,
+                                                    su_.mq, su_.rqc);
+                       const auto bk = unpack_dense(channels[1].block,
+                                                    su_.nq, su_.rqc);
+                       comm_.stats().add_flops(masked_dot_products(
+                           cell_.csr, ak, bk, sd.pieces[0].dots));
+                     },
+                     nullptr, nullptr, &hooks);
+      PhaseScope scope(comm_.stats(), Phase::Replication);
+      sd.pieces[0].dots = fiber_.allreduce(sd.pieces[0].dots);
+      return sd;
     }
-    return full;
-  }
 
-  /// Fault-mode world options, mirroring DenseRepl25D::fault_options:
-  /// here a rank's rank-local sparse memory is its canonical
-  /// value_split[w] slice of cell (u, v), replicated across the c fiber
-  /// ranks by every gather_values call — so the fiber members are the
-  /// peers a crashed slice is rebuilt from, and c == 1 fibers have no
-  /// redundancy — recovery then falls back to the digest-verified
-  /// checkpoint store and adopts the restored bytes into the replica
-  /// store).
-  WorldOptions fault_options(const Setup& su,
-                             std::optional<ReplicaStore>& store,
-                             std::optional<CheckpointStore>& ckpt) const {
-    WorldOptions wo;
-    wo.faults = options().faults;
-    wo.max_recoveries = options().max_recoveries;
-    wo.checkpoint_interval = options().checkpoint_interval;
-    if (wo.faults == nullptr || !wo.faults->enabled() ||
-        wo.faults->crashes.empty()) {
-      return wo;
-    }
-    store.emplace(p());
-    ckpt.emplace(p());
-    for (int rank = 0; rank < p(); ++rank) {
-      const int u = grid_.u_of(rank), v = grid_.v_of(rank),
-                w = grid_.w_of(rank);
-      const auto& split = su.value_split[static_cast<std::size_t>(
-          u * grid_.q() + v)];
-      const auto& values = cell(su, u, v).coo.values;
-      std::vector<Scalar> shard(
-          values.begin() + split[static_cast<std::size_t>(w)],
-          values.begin() + split[static_cast<std::size_t>(w) + 1]);
-      std::vector<int> peers;
-      for (const int m : grid_.fiber_members(u, v)) {
-        if (m != rank) peers.push_back(m);
+    /// Every fiber rank holds the whole cell; each finalizes only its
+    /// canonical value range.
+    void write_sddmm(const SddmmOut& sd, std::span<Scalar> out) override {
+      PhaseScope scope(comm_.stats(), Phase::Computation);
+      const SampledPiece& pc = sd.pieces[0];
+      const auto w = static_cast<std::size_t>(w_);
+      for (Index k = split_[w]; k < split_[w + 1]; ++k) {
+        const auto kk = static_cast<std::size_t>(k);
+        out[static_cast<std::size_t>(pc.entries[kk])] =
+            pc.values[kk] * pc.dots[kk];
       }
-      ckpt->save_shard(rank, {shard.begin(), shard.end()});
-      store->set_shard(rank, std::move(shard), std::move(peers));
+      comm_.stats().add_flops(cell_.nnz() /
+                              static_cast<std::uint64_t>(f_.c()));
     }
-    store->finalize();
-    ReplicaStore* sp = &*store;
-    CheckpointStore* cp = &*ckpt;
-    wo.on_crash = [sp, cp](const CrashInfo& crash) {
-      sp->scrub(crash.rank);
-      if (sp->can_reconstruct(crash.rank)) {
-        sp->reconstruct(crash.rank);
+
+    /// The input slices circulate again, alongside the circulating
+    /// output accumulators (A-shaped on the row ring for SpMM-A,
+    /// B-shaped on the column ring for SpMM-B). The kernels multiply by
+    /// the stored values, assembled from the fiber's canonical split.
+    void spmm(const SpmmIn& in, DenseMatrix& out) override {
+      if (in.values == nullptr) values_ = gather_values();
+      const CsrMatrix csr = csr_with_values(
+          cell_.csr, in.values != nullptr ? (*in.values)[0] : values_);
+      const bool a_side = in.orientation == FusedOrientation::A;
+      ShiftChannel channels[] = {
+          a_side ? a_ring_.channel(/*mutates=*/true,
+                                   pack_dense(DenseMatrix(su_.mq, su_.rqc)))
+                 : a_ring_.channel(/*mutates=*/false, a_home()),
+          a_side ? b_ring_.channel(/*mutates=*/false, b_home())
+                 : b_ring_.channel(/*mutates=*/true,
+                                   pack_dense(DenseMatrix(su_.nq, su_.rqc)))};
+      run_shift_loop(comm_, run_.options.schedule, q_, channels, [&](int) {
+        auto ak = unpack_dense(channels[0].block, su_.mq, su_.rqc);
+        auto bk = unpack_dense(channels[1].block, su_.nq, su_.rqc);
+        if (a_side) {
+          comm_.stats().add_flops(spmm_a(csr, bk, ak));
+          channels[0].block = pack_dense(ak);
+        } else {
+          comm_.stats().add_flops(spmm_b(csr, ak, bk));
+          channels[1].block = pack_dense(bk);
+        }
+      });
+      PhaseScope scope(comm_.stats(), Phase::Computation);
+      if (a_side) {
+        place_block(out, unpack_dense(channels[0].block, su_.mq, su_.rqc),
+                    static_cast<Index>(u_) * su_.mq, s0_ * su_.rqc);
       } else {
-        cp->restore(crash.rank);
-        sp->adopt(crash.rank, cp->values(crash.rank));
+        place_block(out, unpack_dense(channels[1].block, su_.nq, su_.rqc),
+                    static_cast<Index>(v_) * su_.nq, s0_ * su_.rqc);
       }
-    };
-    return wo;
-  }
+    }
 
+   private:
+    /// All-gather the cell's canonically split values along the fiber
+    /// (cost: (c-1)/c * cell_nnz words). Crash mode reads the rank's own
+    /// slice through the replica store — exactly the memory a crash
+    /// scrubs and a recovery rebuilds.
+    std::vector<Scalar> gather_values() {
+      PhaseScope scope(comm_.stats(), Phase::Replication);
+      const auto& values = cell_.coo.values;
+      const auto w = static_cast<std::size_t>(w_);
+      const auto slice =
+          run_.live != nullptr
+              ? std::span<const Scalar>(*run_.live)
+              : std::span<const Scalar>(values).subspan(
+                    static_cast<std::size_t>(split_[w]),
+                    static_cast<std::size_t>(split_[w + 1] - split_[w]));
+      // Low-precision payloads pad each member's last word, so the
+      // gathered stream is decoded member by member against the
+      // canonical split (the counts travel out of band with the plan).
+      std::vector<std::size_t> offsets;
+      const auto words =
+          fiber_.allgather_words(pack_values(slice, run_.codec), &offsets);
+      std::vector<Scalar> full;
+      full.reserve(values.size());
+      for (std::size_t i = 0; i + 1 < split_.size(); ++i) {
+        const MessageWords chunk(
+            words.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
+            words.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
+        const auto vals = unpack_values(
+            chunk, static_cast<std::int64_t>(split_[i + 1] - split_[i]),
+            run_.codec);
+        full.insert(full.end(), vals.begin(), vals.end());
+      }
+      return full;
+    }
+
+    MessageWords a_home() const {
+      return pack_dense(dense_block(run_.a, static_cast<Index>(u_) * su_.mq,
+                                    su_.mq, s0_ * su_.rqc, su_.rqc));
+    }
+    MessageWords b_home() const {
+      return pack_dense(dense_block(run_.b, static_cast<Index>(v_) * su_.nq,
+                                    su_.nq, s0_ * su_.rqc, su_.rqc));
+    }
+
+    const SparseShard& cell(int u, int v) const {
+      return su_.cells[static_cast<std::size_t>(u * q_ + v)];
+    }
+
+    const SparseRepl25D& f_;
+    const Setup& su_;
+    int u_;
+    int v_;
+    int w_;
+    int q_;
+    Index s0_; ///< the skewed width slice resident here at step 0
+    const SparseShard& cell_;
+    const std::vector<Index>& split_;
+    Group fiber_;
+    /// The cell's full value vector, assembled by the last value gather.
+    std::vector<Scalar> values_;
+    /// The row ring of the A slices and A-shaped accumulators, and the
+    /// column ring of the B slices and B-shaped accumulators, both
+    /// support-compressed per options().propagation.
+    Ring a_ring_;
+    Ring b_ring_;
+  };
+
+ private:
   Grid25D grid_;
 };
-
-KernelResult SparseRepl25D::do_run_kernel(const ExecContext& ctx, Mode mode,
-                                          const CooMatrix& s,
-                                          const DenseMatrix& a,
-                                          const DenseMatrix& b) const {
-  const Setup& su = setup_of(ctx);
-  KernelResult result;
-  if (mode == Mode::SpMMA) {
-    result.dense = DenseMatrix(su.m, su.r);
-  } else if (mode == Mode::SpMMB) {
-    result.dense = DenseMatrix(su.n, su.r);
-  } else {
-    result.sddmm_values.assign(static_cast<std::size_t>(s.nnz()),
-                               Scalar{0});
-  }
-  const int q = grid_.q();
-  const WireCodec codec = effective_wire_codec(options(), ctx);
-  std::optional<ReplicaStore> store;
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, store, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
-    const int rank = comm.rank();
-    const int u = grid_.u_of(rank), v = grid_.v_of(rank),
-              w = grid_.w_of(rank);
-    const auto row_ring = grid_.row_members(u, w);
-    const auto col_ring = grid_.col_members(v, w);
-    const Index s0 = slice_at(u, v, w, 0);
-    const auto& sc = cell(su, u, v);
-    const std::vector<Scalar>* live =
-        store ? &store->values(rank) : nullptr;
-    const auto a_piece = [&] {
-      return pack_dense(dense_block(a, static_cast<Index>(u) * su.mq,
-                                    su.mq, s0 * su.rqc, su.rqc));
-    };
-    const auto b_piece = [&] {
-      return pack_dense(dense_block(b, static_cast<Index>(v) * su.nq,
-                                    su.nq, s0 * su.rqc, su.rqc));
-    };
-    // The cell's values are canonically split across the fiber; every
-    // kernel starts by assembling the full value vector.
-    const auto values_full = gather_values(comm, su, u, v, w, live, codec);
-    switch (mode) {
-      case Mode::SDDMM: {
-        std::vector<Scalar> dots(sc.coo.size(), Scalar{0});
-        ShiftChannel cha = ring_channel(row_ring, v, kTagShift,
-                                        /*mutates=*/false, a_piece());
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_piece());
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/false, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/false, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] {
-          return pack_values(std::span<const Scalar>(dots));
-        };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          dots = unpack_values(words);
-        };
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          const auto ak =
-              unpack_dense(channels[0].block, su.mq, su.rqc);
-          const auto bk =
-              unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(
-              masked_dot_products(sc.csr, ak, bk, dots));
-        }, nullptr, nullptr, &hooks);
-        std::vector<Scalar> dots_full;
-        {
-          PhaseScope scope(comm.stats(), Phase::Replication);
-          Group fiber(comm, grid_.fiber_members(u, v));
-          dots_full = fiber.allreduce(dots);
-        }
-        // Each fiber rank finalizes its canonical value range.
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        const auto& split = su.value_split[static_cast<std::size_t>(
-            u * q + v)];
-        for (Index k = split[static_cast<std::size_t>(w)];
-             k < split[static_cast<std::size_t>(w) + 1]; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          result.sddmm_values[static_cast<std::size_t>(sc.entries[kk])] =
-              values_full[kk] * dots_full[kk];
-        }
-        comm.stats().add_flops(sc.nnz() / std::max(1, c()));
-        return;
-      }
-      case Mode::SpMMA: {
-        const auto cell_csr = csr_with_values(sc.csr, values_full);
-        ShiftChannel cha = ring_channel(
-            row_ring, v, kTagShift, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.mq, su.rqc)));
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_piece());
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/true, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/false, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          auto acc = unpack_dense(channels[0].block, su.mq, su.rqc);
-          const auto bk =
-              unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(spmm_a(cell_csr, bk, acc));
-          channels[0].block = pack_dense(acc);
-        });
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense,
-                    unpack_dense(channels[0].block, su.mq, su.rqc),
-                    static_cast<Index>(u) * su.mq, s0 * su.rqc);
-        return;
-      }
-      case Mode::SpMMB: {
-        const auto cell_csr = csr_with_values(sc.csr, values_full);
-        ShiftChannel cha = ring_channel(row_ring, v, kTagShift,
-                                        /*mutates=*/false, a_piece());
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.nq, su.rqc)));
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/false, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/true, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          const auto ak =
-              unpack_dense(channels[0].block, su.mq, su.rqc);
-          auto acc = unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(spmm_b(cell_csr, ak, acc));
-          channels[1].block = pack_dense(acc);
-        });
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.dense,
-                    unpack_dense(channels[1].block, su.nq, su.rqc),
-                    static_cast<Index>(v) * su.nq, s0 * su.rqc);
-        return;
-      }
-    }
-    fail("2.5D-SparseRepl: unknown mode");
-  }, wo);
-  return result;
-}
-
-FusedResult SparseRepl25D::do_run_fusedmm(const ExecContext& ctx,
-                                          FusedOrientation orientation,
-                                          Elision, const CooMatrix&,
-                                          const DenseMatrix& a,
-                                          const DenseMatrix& b,
-                                          int repetitions) const {
-  const Setup& su = setup_of(ctx);
-  const int q = grid_.q();
-  const WireCodec codec = effective_wire_codec(options(), ctx);
-  FusedResult result;
-  result.output = DenseMatrix(
-      orientation == FusedOrientation::A ? su.m : su.n, su.r);
-  std::optional<ReplicaStore> store;
-  std::optional<CheckpointStore> ckpt;
-  const WorldOptions wo = fault_options(su, store, ckpt);
-  result.stats = run_in(ctx.world, p(), [&](Comm& comm) {
-    const int rank = comm.rank();
-    const int u = grid_.u_of(rank), v = grid_.v_of(rank),
-              w = grid_.w_of(rank);
-    const auto row_ring = grid_.row_members(u, w);
-    const auto col_ring = grid_.col_members(v, w);
-    const Index s0 = slice_at(u, v, w, 0);
-    const auto& sc = cell(su, u, v);
-    const std::vector<Scalar>* live =
-        store ? &store->values(rank) : nullptr;
-    const auto a_piece = [&] {
-      return pack_dense(dense_block(a, static_cast<Index>(u) * su.mq,
-                                    su.mq, s0 * su.rqc, su.rqc));
-    };
-    const auto b_piece = [&] {
-      return pack_dense(dense_block(b, static_cast<Index>(v) * su.nq,
-                                    su.nq, s0 * su.rqc, su.rqc));
-    };
-    for (int rep = 0; rep < repetitions; ++rep) {
-      // SDDMM pass: both dense slices circulate, the dot buffer stays.
-      const auto values_full =
-          gather_values(comm, su, u, v, w, live, codec);
-      std::vector<Scalar> dots(sc.coo.size(), Scalar{0});
-      {
-        ShiftChannel cha = ring_channel(row_ring, v, kTagShift,
-                                        /*mutates=*/false, a_piece());
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_piece());
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/false, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/false, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
-        ShiftJournalHooks hooks;
-        hooks.pack_state = [&] {
-          return pack_values(std::span<const Scalar>(dots));
-        };
-        hooks.unpack_state = [&](const MessageWords& words) {
-          dots = unpack_values(words);
-        };
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          const auto ak =
-              unpack_dense(channels[0].block, su.mq, su.rqc);
-          const auto bk =
-              unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(
-              masked_dot_products(sc.csr, ak, bk, dots));
-        }, nullptr, nullptr, &hooks);
-      }
-      std::vector<Scalar> dots_full;
-      {
-        PhaseScope scope(comm.stats(), Phase::Replication);
-        Group fiber(comm, grid_.fiber_members(u, v));
-        dots_full = fiber.allreduce(dots);
-      }
-      std::vector<Scalar> r_values(sc.coo.size());
-      {
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        hadamard_values(values_full, dots_full, r_values);
-        comm.stats().add_flops(sc.nnz());
-      }
-      const auto r_csr = csr_with_values(sc.csr, r_values);
-      // SpMM pass: the input slices circulate again, now alongside the
-      // circulating output accumulators.
-      if (orientation == FusedOrientation::A) {
-        ShiftChannel cha = ring_channel(
-            row_ring, v, kTagShift, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.mq, su.rqc)));
-        ShiftChannel chb = ring_channel(col_ring, u, kTagShiftDense,
-                                        /*mutates=*/false, b_piece());
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/true, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/false, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          auto acc = unpack_dense(channels[0].block, su.mq, su.rqc);
-          const auto bk =
-              unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(spmm_a(r_csr, bk, acc));
-          channels[0].block = pack_dense(acc);
-        });
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output,
-                    unpack_dense(channels[0].block, su.mq, su.rqc),
-                    static_cast<Index>(u) * su.mq, s0 * su.rqc);
-      } else {
-        ShiftChannel cha = ring_channel(row_ring, v, kTagShift,
-                                        /*mutates=*/false, a_piece());
-        ShiftChannel chb = ring_channel(
-            col_ring, u, kTagShiftDense, /*mutates=*/true,
-            pack_dense(DenseMatrix(su.nq, su.rqc)));
-        const ShiftCompression acomp =
-            a_compression(su, u, v, /*mutates=*/false, codec);
-        const ShiftCompression bcomp =
-            b_compression(su, u, v, /*mutates=*/true, codec);
-        cha.compression = &acomp;
-        chb.compression = &bcomp;
-        ShiftChannel channels[] = {std::move(cha), std::move(chb)};
-        run_shift_loop(comm, options().schedule, q, channels, [&](int) {
-          const auto ak =
-              unpack_dense(channels[0].block, su.mq, su.rqc);
-          auto acc = unpack_dense(channels[1].block, su.nq, su.rqc);
-          comm.stats().add_flops(spmm_b(r_csr, ak, acc));
-          channels[1].block = pack_dense(acc);
-        });
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        place_block(result.output,
-                    unpack_dense(channels[1].block, su.nq, su.rqc),
-                    static_cast<Index>(v) * su.nq, s0 * su.rqc);
-      }
-    }
-  }, wo);
-  return result;
-}
 
 } // namespace
 

@@ -48,13 +48,7 @@ ExecContext Plan::context(const CooMatrix& s, Index r,
         "Plan: executed against a different (matrix, width) than it was "
         "built for — the frozen shards would not match; rebuild with "
         "make_plan");
-  ExecContext ctx;
-  ctx.plan = data_.get();
-  ctx.world = exec.world;
-  ctx.cache = exec.cache;
-  ctx.wire_precision = exec.wire_precision;
-  ctx.index_codec = exec.index_codec;
-  return ctx;
+  return ExecContext{data_.get(), exec};
 }
 
 KernelResult Plan::execute(Mode mode, const CooMatrix& s,

@@ -8,8 +8,12 @@
 /// any number of times. `Plan::execute` is bit-identical to the classic
 /// `DistAlgorithm::run_kernel` call for the same inputs, but its stats
 /// report zero setup builds and zero setup seconds: the per-request cost
-/// is the kernel alone. A serving layer keeps one Plan (plus a resident
-/// SimWorld and an optional ReplicationCache) alive across requests; see
+/// is the kernel alone. The one exception is FusedMM-B under
+/// LocalKernelFusion, which runs the transposed problem: the first such
+/// execute of a Plan builds that snapshot (and reports one setup build
+/// with its seconds); every later one reuses it and reports zero. A
+/// serving layer keeps one Plan (plus a resident SimWorld and an
+/// optional ReplicationCache) alive across requests; see
 /// apps/serve_als.hpp for the first tenant.
 ///
 /// Safety: the Plan remembers a fingerprint of the sparse matrix and
@@ -17,32 +21,18 @@
 /// it, so a Plan cannot silently run against a matrix it was not built
 /// for (the snapshot embeds S's shards — running it against different
 /// values would compute garbage). Plans are cheap to copy (shared
-/// immutable state) and safe to share between threads once built.
+/// immutable state) and safe to share between threads once built; the
+/// lazily built transposed snapshot is built exactly once even when
+/// several threads execute the Plan at the same time. ExecuteOptions
+/// (the per-request world, cache and wire-codec overrides) is declared
+/// in dist/algorithm.hpp.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "dist/algorithm.hpp"
 
 namespace dsk {
-
-/// Per-request execution environment. `world` is an optional resident
-/// SimWorld reused across requests (must have exactly the driver's p
-/// ranks); `cache` is an optional cross-call replicated-factor cache
-/// (see dist/replication_cache.hpp). Both borrowed, both optional —
-/// defaults execute on a one-shot world with no cache.
-/// `wire_precision` / `index_codec`, when set, override the plan
-/// options' wire codec for this request only (forwarded into
-/// ExecContext; see effective_wire_codec in dist/algorithm.hpp) — a
-/// serving layer can trade accuracy for wire words per request without
-/// rebuilding the Plan.
-struct ExecuteOptions {
-  SimWorld* world = nullptr;
-  ReplicationCache* cache = nullptr;
-  std::optional<WirePrecision> wire_precision;
-  std::optional<IndexCodec> index_codec;
-};
 
 /// FNV-1a fingerprint of (s, r): dims, nnz, entry coordinates and
 /// values, and the requested width. The Plan stores it at build time
@@ -75,7 +65,8 @@ class Plan {
                        const DenseMatrix& b,
                        const ExecuteOptions& exec = {}) const;
 
-  /// FusedMM against the frozen snapshot (see execute).
+  /// FusedMM against the frozen snapshot (see execute, and the class
+  /// comment for the one setup build of FusedMM-B + LocalKernelFusion).
   FusedResult execute_fusedmm(FusedOrientation orientation, Elision elision,
                               const CooMatrix& s, const DenseMatrix& a,
                               const DenseMatrix& b, int repetitions = 1,

@@ -22,7 +22,7 @@
 /// values change or the shards move (reshard / new Plan); the serving
 /// layer does this between batches, never while a world is running.
 /// Fault-armed and Pipelined-schedule runs bypass the cache (see
-/// detail::usable_cache).
+/// detail::cache_use).
 
 #include <atomic>
 #include <cstdint>
