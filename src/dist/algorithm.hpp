@@ -27,15 +27,11 @@
 namespace dsk {
 
 /// Tuning knobs shared by every algorithm family. The schedule selects
-/// the propagation engine (see shift_loop.hpp); all schedules produce
-/// bit-identical outputs and identical word counts, so the default is
-/// the overlapping one. Pipelined additionally streams the replication
-/// all-gather into the first shift step in `chunk_rows`-row pieces
-/// (0 = auto: quarter blocks); the knob is rejected by run_shift_loop's
-/// callers only through the CLI — programmatically it is simply unused
-/// outside the Pipelined schedule. Families with no fiber replication
-/// of dense row blocks (2.5D sparse replicating, 1D baseline) treat
-/// Pipelined exactly as DoubleBuffered.
+/// the propagation engine (see shift_loop.hpp): BulkSynchronous is the
+/// paper's structure, DoubleBuffered overlaps each shift with the local
+/// kernel. Both produce bit-identical outputs and identical word and
+/// message counts, so the default is the overlapping one. Replication
+/// collectives are blocking under both.
 ///
 /// `replication` selects how the replication-phase fiber collectives
 /// move the A-side row blocks (SpComm3D direction): Dense ships whole
@@ -67,8 +63,6 @@ struct AlgorithmOptions {
   ShiftSchedule schedule = ShiftSchedule::DoubleBuffered;
   ReplicationMode replication = ReplicationMode::Dense;
   PropagationMode propagation = PropagationMode::Dense;
-  /// Pipelined schedule only: rows per replication chunk (0 = auto).
-  Index chunk_rows = 0;
   /// Borrowed fault plan (must outlive the run); null = fault-free.
   /// Every driver recovers injected rank crashes: the 2.5D families
   /// rebuild the lost shard from their replicas (falling back to the
@@ -136,8 +130,8 @@ struct PlanData {
 /// Per-request execution environment. `world` is an optional resident
 /// SimWorld reused across requests (must have exactly the driver's p
 /// ranks); `cache` is an optional cross-call replicated-factor cache
-/// (see dist/replication_cache.hpp) consulted by the blocking
-/// replication prologues — ignored by families whose replication is
+/// (see dist/replication_cache.hpp) consulted by the replication
+/// all-gathers — ignored by families whose replication is
 /// already sparsity-sized and whenever faults are armed. Both borrowed,
 /// both optional — defaults execute on a one-shot world with no cache.
 /// `wire_precision` / `index_codec`, when set, override the driver

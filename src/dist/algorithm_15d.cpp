@@ -141,30 +141,18 @@ class DenseShift15D final : public GridFamily<DenseShift15D> {
                   }) {}
 
     /// Replicate A into the rank's working layer-row and run the dot loop
-    /// (B input blocks circulate). Under Pipelined the fiber all-gather
-    /// streams as the loop's prologue: the step-0 B block is forwarded
-    /// before replication starts and the step-0 dots accumulate chunk by
-    /// chunk as working-block rows arrive (bit-identical — each entry's
-    /// dot lives wholly in its row's chunk). The per-piece dots are
-    /// stationary state (each is written wholly at its step), journaled
-    /// so a recovered attempt resumes with the completed pieces intact.
+    /// (B input blocks circulate). The per-piece dots are stationary
+    /// state (each is written wholly at its step), journaled so a
+    /// recovered attempt resumes with the completed pieces intact.
     SddmmOut sddmm() override {
       SddmmOut sd;
       sd.pieces.reserve(pieces_.size());
       for (std::size_t j = 0; j < pieces_.size(); ++j) {
         sd.pieces.push_back(pieces_.sampled(j));
       }
-      const DenseMatrix b0 = b_home();
-      ShiftPrologue pro = fiber_.prologue(sd.a_work, run_.cache);
-      if (run_.pipelined()) {
-        pro.compute_chunk = [&](Index row0, Index row1) {
-          comm_.stats().add_flops(masked_dot_products_rows(
-              pieces_.shard(u_).csr, sd.a_work, b0, sd.pieces[u_].dots,
-              row0, row1));
-        };
-      }
+      sd.a_work = fiber_.gather(run_.cache);
       const ShiftJournalHooks hooks = journal_dots(sd.pieces);
-      b_loop(/*mutates=*/false, pack_dense(b0),
+      b_loop(/*mutates=*/false, pack_dense(b_home()),
              [&](int j, MessageWords& block) {
                const auto bj = unpack_dense(block, su_.b_blk, su_.r);
                auto& d = sd.pieces[static_cast<std::size_t>(j)].dots;
@@ -172,7 +160,7 @@ class DenseShift15D final : public GridFamily<DenseShift15D> {
                comm_.stats().add_flops(masked_dot_products(
                    pieces_.shard(j).csr, sd.a_work, bj, d));
              },
-             &pro, &hooks);
+             &hooks);
       return sd;
     }
 
@@ -183,13 +171,10 @@ class DenseShift15D final : public GridFamily<DenseShift15D> {
       }
       // SpMM-B: the B-shaped accumulators circulate against the working
       // block — the kernel's own, or the SDDMM pass's (replicated again,
-      // unused, without elision). spmm_b accumulates across working-block
-      // rows, so under Pipelined step 0 runs monolithically once the
-      // stream completes; the gain is the chunked fiber stream itself.
+      // unused, without elision).
       DenseMatrix a_own;
-      ShiftPrologue pro;
       if (in.a_work == nullptr || in.repeat) {
-        pro = fiber_.prologue(a_own, run_.cache);
+        a_own = fiber_.gather(run_.cache);
       }
       const DenseMatrix& a_work = in.a_work != nullptr ? *in.a_work : a_own;
       CsrMatrix scratch;
@@ -200,20 +185,15 @@ class DenseShift15D final : public GridFamily<DenseShift15D> {
             comm_.stats().add_flops(
                 spmm_b(pieces_.csr(j, in.values, scratch), a_work, acc));
             block = pack_dense(acc);
-          },
-          &pro);
+          });
       PhaseScope scope(comm_.stats(), Phase::Computation);
       place_block(out, unpack_dense(home, su_.b_blk, su_.r), b_row0(u_), 0);
     }
 
     /// LocalKernelFusion: one propagation loop with the fused local
-    /// kernel. It accumulates into the layer-row partial, so under
-    /// Pipelined step 0 runs monolithically after the replication stream
-    /// (the overlap is the early B forward plus the chunked fiber
-    /// messages).
+    /// kernel, accumulating into the layer-row partial.
     void fused(DenseMatrix& out) override {
-      DenseMatrix fused_a;
-      const ShiftPrologue pro = fiber_.prologue(fused_a);
+      const DenseMatrix fused_a = fiber_.gather();
       DenseMatrix partial(su_.mL, su_.r);
       const ShiftJournalHooks hooks = journal_dense(partial);
       b_loop(/*mutates=*/false, pack_dense(b_home()),
@@ -222,7 +202,7 @@ class DenseShift15D final : public GridFamily<DenseShift15D> {
                comm_.stats().add_flops(
                    fusedmm_a(pieces_.csr(j), fused_a, bj, partial));
              },
-             &pro, &hooks);
+             &hooks);
       fiber_.reduce(partial, out);
     }
 
@@ -249,23 +229,16 @@ class DenseShift15D final : public GridFamily<DenseShift15D> {
     /// which the accumulator (mutating) loops write to the output.
     MessageWords b_loop(bool mutates, MessageWords start,
                         const std::function<void(int, MessageWords&)>& body,
-                        const ShiftPrologue* prologue,
                         const ShiftJournalHooks* state = nullptr) {
       ShiftChannel ch = b_ring_.channel(mutates, std::move(start));
       run_shift_loop(comm_, run_.options.schedule, L_, {&ch, 1},
-                     [&](int t) { body((u_ + t) % L_, ch.block); },
-                     prologue, nullptr, state);
+                     [&](int t) { body((u_ + t) % L_, ch.block); }, state);
       return std::move(ch.block);
     }
 
     /// SpMM-A propagation AND reduction: accumulate the layer-row partial
     /// from circulating B blocks, then fiber reduce-scatter it into the
-    /// rank's output chunk. Blocking reduce under BSP/DB; under Pipelined
-    /// the reduce-scatter streams out of the loop's LAST step — its
-    /// prepare pulls run the final piece's spmm_a rows just in time, so
-    /// the earliest output chunks enter the wire while later rows are
-    /// still being computed (bit-identical: each output row's
-    /// accumulation is independent).
+    /// rank's output chunk.
     void spmm_a_pass(const PieceValues* values, DenseMatrix& out) {
       DenseMatrix partial(su_.mL, su_.r);
       ShiftChannel ch =
@@ -277,31 +250,10 @@ class DenseShift15D final : public GridFamily<DenseShift15D> {
         comm_.stats().add_flops(
             spmm_a(pieces_.csr(j, values, scratch), bj, partial));
       };
-      ShiftEpilogue epi;
-      DenseMatrix b_last;
-      CsrMatrix last_scratch;
-      const CsrMatrix* s_last = nullptr;
-      if (run_.pipelined()) {
-        const int j_last = (u_ + L_ - 1) % L_;
-        epi.compute_chunk = [&, j_last](Index row0, Index row1) {
-          if (s_last == nullptr) {
-            // The final resident block (and, only when the values are
-            // overridden, a revalued copy of the final piece's CSR) are
-            // materialized once, on the first prepare pull.
-            b_last = unpack_dense(ch.block, su_.b_blk, su_.r);
-            s_last = &pieces_.csr(j_last, values, last_scratch);
-          }
-          comm_.stats().add_flops(
-              spmm_a_rows(*s_last, b_last, partial, row0, row1));
-        };
-        epi.reduce = [&](const ChunkFn& prepare) {
-          fiber_.reduce_streamed(partial, out, prepare);
-        };
-      }
       const ShiftJournalHooks hooks = journal_dense(partial);
       run_shift_loop(comm_, run_.options.schedule, L_, {&ch, 1}, body,
-                     nullptr, &epi, &hooks);
-      if (!run_.pipelined()) fiber_.reduce(partial, out);
+                     &hooks);
+      fiber_.reduce(partial, out);
     }
 
     const DenseShift15D& f_;
@@ -418,11 +370,7 @@ class SparseShift15D final : public GridFamily<SparseShift15D> {
 
     /// Replicate the A slice and circulate the home piece's dot payload
     /// for L steps; after the ring trip the resident payload is the home
-    /// piece again, its dots accumulated over every width slice. Under
-    /// Pipelined the fiber all-gather streams as the loop prologue: the
-    /// step-0 dots accumulate chunk by chunk as slice rows arrive, then
-    /// the payload is repacked — bit-identical to the monolithic step
-    /// (dots start at zero and every entry's additions are unchanged).
+    /// piece again, its dots accumulated over every width slice.
     SddmmOut sddmm() override {
       SddmmOut sd;
       sd.pieces.push_back(home_.sampled(0));
@@ -437,21 +385,8 @@ class SparseShift15D final : public GridFamily<SparseShift15D> {
             f_.piece(su_, v_, j).csr, sd.a_work, b_local_, payload.values));
         ch.block = pack_triplets(payload, run_.codec);
       };
-      ShiftPrologue pro = fiber_.prologue(sd.a_work, run_.cache);
-      std::vector<Scalar> d0(start.size(), Scalar{0});
-      if (run_.pipelined()) {
-        pro.compute_chunk = [&](Index row0, Index row1) {
-          comm_.stats().add_flops(masked_dot_products_rows(
-              home_.shard(0).csr, sd.a_work, b_local_, d0, row0, row1));
-        };
-        pro.finish_step0 = [&] {
-          auto payload = unpack_triplets(ch.block, run_.codec);
-          payload.values = std::move(d0);
-          ch.block = pack_triplets(payload, run_.codec);
-        };
-      }
-      run_shift_loop(comm_, run_.options.schedule, L_, {&ch, 1}, body,
-                     &pro);
+      sd.a_work = fiber_.gather(run_.cache);
+      run_shift_loop(comm_, run_.options.schedule, L_, {&ch, 1}, body);
       sd.pieces[0].dots = unpack_triplets(ch.block, run_.codec).values;
       return sd;
     }
@@ -474,9 +409,8 @@ class SparseShift15D final : public GridFamily<SparseShift15D> {
         start = &revalued;
       }
       DenseMatrix a_own;
-      ShiftPrologue pro;
       if (!a_side && (in.a_work == nullptr || in.repeat)) {
-        pro = fiber_.prologue(a_own, run_.cache);
+        a_own = fiber_.gather(run_.cache);
       }
       const DenseMatrix& a_work = in.a_work != nullptr ? *in.a_work : a_own;
       DenseMatrix acc = a_side ? DenseMatrix(su_.m, su_.rL)
@@ -501,7 +435,7 @@ class SparseShift15D final : public GridFamily<SparseShift15D> {
                            a_side ? spmm_a(*csr, b_local_, acc)
                                   : spmm_b(*csr, a_work, acc));
                      },
-                     &pro, nullptr, &hooks);
+                     &hooks);
       if (a_side) {
         fiber_.reduce(acc, out);
         return;

@@ -163,20 +163,15 @@ class DenseRepl25D final : public GridFamily<DenseRepl25D> {
                   }) {}
 
     /// Replicate A and run the dot loop: S dots circulate on the row
-    /// ring, B blocks on the column ring. Under Pipelined the fiber
-    /// all-gather streams as the loop prologue: step-0 dots accumulate
-    /// chunk by chunk as working-block rows arrive, then the circulating
-    /// payload is repacked (bit-identical — dots start at zero and every
-    /// entry's additions are unchanged).
+    /// ring, B blocks on the column ring.
     SddmmOut sddmm() override {
       SddmmOut sd;
       sd.pieces.push_back(home_.sampled(0));
-      const DenseMatrix b0 = b_home();
       Triplets start = home_.shard(0).coo;
       start.values.assign(start.size(), Scalar{0});
       ShiftChannel channels[] = {
           s_ring_.channel(/*mutates=*/true, pack_triplets(start, run_.codec)),
-          b_ring_.channel(/*mutates=*/false, pack_dense(b0))};
+          b_ring_.channel(/*mutates=*/false, pack_dense(b_home()))};
       const auto body = [&](int t) {
         auto payload = unpack_triplets(channels[0].block, run_.codec);
         const auto bk = unpack_dense(channels[1].block, su_.nqc, su_.rq);
@@ -185,21 +180,8 @@ class DenseRepl25D final : public GridFamily<DenseRepl25D> {
             payload.values));
         channels[0].block = pack_triplets(payload, run_.codec);
       };
-      ShiftPrologue pro = fiber_.prologue(sd.a_work, run_.cache);
-      std::vector<Scalar> d0(start.size(), Scalar{0});
-      if (run_.pipelined()) {
-        pro.compute_chunk = [&](Index row0, Index row1) {
-          comm_.stats().add_flops(masked_dot_products_rows(
-              home_.shard(0).csr, sd.a_work, b0, d0, row0, row1));
-        };
-        pro.finish_step0 = [&] {
-          auto payload = unpack_triplets(channels[0].block, run_.codec);
-          payload.values = std::move(d0);
-          channels[0].block = pack_triplets(payload, run_.codec);
-        };
-      }
-      run_shift_loop(comm_, run_.options.schedule, q_, channels, body,
-                     &pro);
+      sd.a_work = fiber_.gather(run_.cache);
+      run_shift_loop(comm_, run_.options.schedule, q_, channels, body);
       sd.pieces[0].dots =
           unpack_triplets(channels[0].block, run_.codec).values;
       return sd;
@@ -210,13 +192,10 @@ class DenseRepl25D final : public GridFamily<DenseRepl25D> {
     /// outputs for FusedMM (read off the payload) — and the B-side
     /// blocks on the column ring: read-only inputs for SpMM-A, whose
     /// A-shaped partial stays put and is reduce-scattered along the
-    /// fiber (streamed out of the last step under Pipelined), or
-    /// circulating accumulators for SpMM-B. Without elision the SpMM
-    /// pass replicates A again in either orientation (result discarded,
-    /// streamed into step 0 under Pipelined); the SpMM-B kernel
-    /// replicates its own. spmm_b accumulates across working-block rows,
-    /// so its step 0 runs monolithically after a Pipelined stream; the
-    /// read-only S piece is still forwarded before replication starts.
+    /// fiber, or circulating accumulators for SpMM-B. SpMM-B reads the
+    /// replicated A: the kernel replicates its own, and FusedMM without
+    /// elision replicates it again (result discarded). SpMM-A never
+    /// reads A, so it never gathers it.
     void spmm(const SpmmIn& in, DenseMatrix& out) override {
       const bool a_side = in.orientation == FusedOrientation::A;
       Triplets home_piece = home_.shard(0).coo;
@@ -226,9 +205,8 @@ class DenseRepl25D final : public GridFamily<DenseRepl25D> {
         home_piece.values = *run_.live;
       }
       DenseMatrix a_own;
-      ShiftPrologue pro;
-      if (in.a_work != nullptr ? in.repeat : !a_side) {
-        pro = fiber_.prologue(a_own, run_.cache);
+      if (!a_side && (in.a_work == nullptr || in.repeat)) {
+        a_own = fiber_.gather(run_.cache);
       }
       const DenseMatrix& a_work = in.a_work != nullptr ? *in.a_work : a_own;
       ShiftChannel channels[] = {
@@ -258,33 +236,13 @@ class DenseRepl25D final : public GridFamily<DenseRepl25D> {
                          comm_.stats().add_flops(
                              spmm_b(csr_at(t, scratch), a_work, acc));
                          channels[1].block = pack_dense(acc);
-                       },
-                       &pro);
+                       });
         PhaseScope scope(comm_.stats(), Phase::Computation);
         place_block(out, unpack_dense(channels[1].block, su_.nqc, su_.rq),
                     b_row0(k0_), static_cast<Index>(v_) * su_.rq);
         return;
       }
       DenseMatrix partial(su_.mq, su_.rq);
-      ShiftEpilogue epi;
-      DenseMatrix b_last;
-      CsrMatrix last_scratch;
-      const CsrMatrix* s_last = nullptr;
-      if (run_.pipelined()) {
-        epi.compute_chunk = [&](Index row0, Index row1) {
-          if (s_last == nullptr) {
-            // The final step's S payload and B block are materialized on
-            // the first prepare pull.
-            b_last = unpack_dense(channels[1].block, su_.nqc, su_.rq);
-            s_last = &csr_at(q_ - 1, last_scratch);
-          }
-          comm_.stats().add_flops(
-              spmm_a_rows(*s_last, b_last, partial, row0, row1));
-        };
-        epi.reduce = [&](const ChunkFn& prepare) {
-          fiber_.reduce_streamed(partial, out, prepare);
-        };
-      }
       const ShiftJournalHooks hooks = journal_dense(partial);
       run_shift_loop(comm_, run_.options.schedule, q_, channels,
                      [&](int t) {
@@ -294,8 +252,8 @@ class DenseRepl25D final : public GridFamily<DenseRepl25D> {
                        comm_.stats().add_flops(
                            spmm_a(csr_at(t, scratch), bk, partial));
                      },
-                     &pro, &epi, &hooks);
-      if (!run_.pipelined()) fiber_.reduce(partial, out);
+                     &hooks);
+      fiber_.reduce(partial, out);
     }
 
    private:
@@ -352,9 +310,8 @@ class SparseRepl25D final : public GridFamily<SparseRepl25D> {
   /// The replication traffic of this family is already sparsity-sized
   /// (values and dot buffers, no dense row blocks): there is no A fiber
   /// to cache, the options().replication knob has nothing to elide
-  /// (SparseRows and Auto behave exactly like Dense), and the Pipelined
-  /// schedule has no dense row stream to chunk, so it runs as
-  /// DoubleBuffered. The PROPAGATION knob, by contrast, bites twice:
+  /// (SparseRows and Auto behave exactly like Dense). The PROPAGATION
+  /// knob, by contrast, bites twice:
   /// both circulating dense slices compress against the stationary
   /// cells' supports (A by rows, B by columns).
   static constexpr bool kCachesReplication = false;
@@ -474,7 +431,7 @@ class SparseRepl25D final : public GridFamily<SparseRepl25D> {
                        comm_.stats().add_flops(masked_dot_products(
                            cell_.csr, ak, bk, sd.pieces[0].dots));
                      },
-                     nullptr, nullptr, &hooks);
+                     &hooks);
       PhaseScope scope(comm_.stats(), Phase::Replication);
       sd.pieces[0].dots = fiber_.allreduce(sd.pieces[0].dots);
       return sd;

@@ -49,8 +49,7 @@ CacheUse cache_use(const Op& op, const ExecuteOptions& exec,
                    const AlgorithmOptions& options) {
   CacheUse use;
   if (op.fused || op.mode == Mode::SpMMA || exec.cache == nullptr ||
-      (options.faults != nullptr && options.faults->enabled()) ||
-      options.schedule == ShiftSchedule::Pipelined) {
+      (options.faults != nullptr && options.faults->enabled())) {
     return use;
   }
   use.cache = exec.cache;
@@ -216,10 +215,6 @@ DenseMatrix Fiber::source() const {
   return dense_block(run_.a, row0_, rows_, col0_, cols_);
 }
 
-Index Fiber::chunk_rows() const {
-  return pipeline_chunk_rows(run_.options.chunk_rows, rows_);
-}
-
 DenseMatrix Fiber::gather(const CacheUse& cache) {
   if (cache.hit) return cache.cache->block(run_.comm.rank());
   PhaseScope scope(run_.comm.stats(), Phase::Replication);
@@ -229,40 +224,12 @@ DenseMatrix Fiber::gather(const CacheUse& cache) {
   return out;
 }
 
-ShiftPrologue Fiber::prologue(DenseMatrix& dest, const CacheUse& cache) {
-  ShiftPrologue pro;
-  if (!run_.pipelined()) {
-    dest = gather(cache);
-    return pro;
-  }
-  // The deliver callbacks (which run computation) nest inside this
-  // Replication scope; PhaseScope nesting is exclusive, so the
-  // interleaved spans attribute correctly.
-  pro.replicate = [this, &dest](const ChunkFn& deliver) {
-    PhaseScope scope(run_.comm.stats(), Phase::Replication);
-    group_.allgatherv_rows_pipelined(source(), wants_,
-                                     run_.options.replication, chunk_rows(),
-                                     deliver, dest, run_.codec);
-  };
-  return pro;
-}
-
 void Fiber::reduce(const DenseMatrix& partial, DenseMatrix& out) {
   PhaseScope scope(run_.comm.stats(), Phase::Replication);
   place_block(out,
               group_.reduce_scatter_rows(partial, wants_,
                                          run_.options.replication,
                                          run_.codec),
-              row0_, col0_);
-}
-
-void Fiber::reduce_streamed(DenseMatrix& partial, DenseMatrix& out,
-                            const ChunkFn& prepare) {
-  PhaseScope scope(run_.comm.stats(), Phase::Replication);
-  place_block(out,
-              group_.reduce_scatter_rows_pipelined(
-                  partial, wants_, run_.options.replication, chunk_rows(),
-                  prepare, run_.codec),
               row0_, col0_);
 }
 

@@ -73,9 +73,7 @@ struct CacheUse {
 /// Resolve the cache for one run of `op` and record the hit/miss. Only
 /// the kernels that replicate a stationary A (SDDMM, SpMM-B) consult
 /// it; caching is off whenever faults are armed (a crashed attempt
-/// could abandon a partial fill) and under the Pipelined schedule
-/// (whose replication streams into the shift loop, not a blocking
-/// gather that could be skipped wholesale).
+/// could abandon a partial fill).
 CacheUse cache_use(const Op& op, const ExecuteOptions& exec,
                    const AlgorithmOptions& options);
 
@@ -115,10 +113,6 @@ struct RankRun {
   const std::vector<Scalar>* live;
   const DenseMatrix& a;
   const DenseMatrix& b;
-
-  bool pipelined() const {
-    return options.schedule == ShiftSchedule::Pipelined;
-  }
 };
 
 /// One local piece after an SDDMM pass: the values the dots scale, the
@@ -147,8 +141,9 @@ struct SpmmIn {
   /// FusedMM: the SDDMM pass's working block. The kernels replicate
   /// their own.
   const DenseMatrix* a_work = nullptr;
-  /// FusedMM without elision: the SpMM pass replicates A again, and the
-  /// gathered copy goes unused (the bits are the SDDMM pass's).
+  /// FusedMM without elision: an SpMM-B pass replicates A again, and the
+  /// gathered copy goes unused (the bits are the SDDMM pass's). SpMM-A
+  /// never reads A, so it never replicates it.
   bool repeat = false;
 };
 
@@ -226,21 +221,10 @@ class Fiber {
   /// Blocking all-gather (a cache hit returns the parked block with no
   /// traffic; a filling run parks what it gathered).
   DenseMatrix gather(const CacheUse& cache = {});
-  /// Replicate into dest: blocking under BSP/DB; under Pipelined the
-  /// returned prologue streams it into the following loop's step 0
-  /// instead (pass the prologue to the loop unconditionally — an unarmed
-  /// one is ignored).
-  ShiftPrologue prologue(DenseMatrix& dest, const CacheUse& cache = {});
   void reduce(const DenseMatrix& partial, DenseMatrix& out);
-  /// Streaming reduce: the collective pulls partial rows just in time
-  /// through `prepare` (a shift-loop epilogue routes the last step's
-  /// row-sliced kernel into it). The partial is consumed.
-  void reduce_streamed(DenseMatrix& partial, DenseMatrix& out,
-                       const ChunkFn& prepare);
 
  private:
   DenseMatrix source() const;
-  Index chunk_rows() const;
 
   const RankRun& run_;
   Group group_;

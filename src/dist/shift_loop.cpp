@@ -104,8 +104,6 @@ void recv_hop(Comm& comm, ShiftChannel& ch, int step) {
 void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
                     std::span<ShiftChannel> channels,
                     const std::function<void(int)>& compute,
-                    const ShiftPrologue* prologue,
-                    const ShiftEpilogue* epilogue,
                     const ShiftJournalHooks* state) {
   for (const auto& ch : channels) {
     check(is_self(comm, ch) || (ch.send_to != comm.rank() &&
@@ -122,34 +120,14 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
             comp->send_rows.size(), " steps, loop runs ", steps);
     }
   }
-  // A prologue with no replicate stage (or an epilogue with no reduce)
-  // is "absent" — drivers build them unconditionally and only arm them
-  // under the Pipelined schedule.
-  if (prologue != nullptr && !prologue->replicate) prologue = nullptr;
-  if (epilogue != nullptr && !epilogue->reduce) epilogue = nullptr;
-  check(prologue == nullptr || schedule == ShiftSchedule::Pipelined,
-        "run_shift_loop: a replication prologue requires the Pipelined "
-        "schedule");
-  check(epilogue == nullptr || schedule == ShiftSchedule::Pipelined,
-        "run_shift_loop: a reduction epilogue requires the Pipelined "
-        "schedule");
-  check(prologue == nullptr || steps >= 1,
-        "run_shift_loop: a replication prologue needs at least one step "
-        "to stream into");
-  check(epilogue == nullptr || steps >= 1,
-        "run_shift_loop: a reduction epilogue needs at least one step "
-        "to stream out of");
   // Fault-mode journaling: snapshot the resident blocks (plus any
   // driver state) after each completed step, and on a recovered attempt
-  // restore the last globally-completed step and skip its prefix. Loops
-  // with an armed prologue/epilogue interleave collectives with the
-  // steps and re-execute in full instead.
+  // restore the last globally-completed step and skip its prefix.
   StepJournal* journal = comm.journal();
-  const bool resumable = prologue == nullptr && epilogue == nullptr;
   int loop_id = -1;
   int start_step = 0;
   if (journal != nullptr) {
-    loop_id = journal->begin_loop(comm.rank(), steps, resumable);
+    loop_id = journal->begin_loop(comm.rank(), steps);
     const int resume = journal->resume_step(comm.rank(), loop_id);
     if (resume >= 0) {
       const auto& snap = journal->snapshot(comm.rank(), loop_id, resume);
@@ -166,18 +144,12 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
       journal->count_resumed(start_step);
     }
   }
-  // DoubleBuffered and Pipelined share the early-forward structure; the
-  // Pipelined extras live entirely in the first and last steps'
-  // prologue/epilogue handling.
-  const bool overlap = schedule != ShiftSchedule::BulkSynchronous;
+  const bool overlap = schedule == ShiftSchedule::DoubleBuffered;
   for (int step = start_step; step < steps; ++step) {
     comm.on_shift_step(step);
     if (overlap) {
       // Forward read-only blocks before computing: the copy in flight is
-      // what the receiver's post-compute receive will find waiting. With
-      // a prologue this happens BEFORE the replication collective even
-      // starts, so a peer's step-0 receive never waits on our
-      // replication finishing.
+      // what the receiver's post-compute receive will find waiting.
       PhaseScope scope(comm.stats(), Phase::Propagation);
       for (auto& ch : channels) {
         if (!ch.mutates && !is_self(comm, ch)) {
@@ -185,55 +157,7 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
         }
       }
     }
-    const bool pro_here = step == 0 && prologue != nullptr;
-    const bool epi_here = step == steps - 1 && epilogue != nullptr;
-    // Stream the reduce-scatter, slicing this step's kernel by output
-    // rows through the collective's prepare pulls.
-    const auto sliced_reduce = [&] {
-      epilogue->reduce([&](Index row0, Index row1) {
-        PhaseScope scope(comm.stats(), Phase::Computation);
-        epilogue->compute_chunk(row0, row1);
-      });
-    };
-    if (pro_here) {
-      // Stream the replication collective; each delivered chunk runs the
-      // incremental step-0 kernel (when the kernel admits row slicing).
-      prologue->replicate([&](Index row0, Index row1) {
-        if (prologue->compute_chunk) {
-          PhaseScope scope(comm.stats(), Phase::Computation);
-          prologue->compute_chunk(row0, row1);
-        }
-      });
-      if (prologue->compute_chunk) {
-        {
-          PhaseScope scope(comm.stats(), Phase::Computation);
-          if (prologue->finish_step0) prologue->finish_step0();
-        }
-        // steps == 1 with both stages: the prologue drove the compute,
-        // so the reduce runs un-streamed (every row is final by now).
-        if (epi_here) epilogue->reduce(nullptr);
-      } else if (epi_here && epilogue->compute_chunk) {
-        // The replicate had nothing to slice into; the epilogue takes
-        // over the step's compute and streams it out instead.
-        sliced_reduce();
-      } else {
-        {
-          PhaseScope scope(comm.stats(), Phase::Computation);
-          compute(step);
-        }
-        if (epi_here) epilogue->reduce(nullptr);
-      }
-    } else if (epi_here) {
-      if (epilogue->compute_chunk) {
-        sliced_reduce();
-      } else {
-        {
-          PhaseScope scope(comm.stats(), Phase::Computation);
-          compute(step);
-        }
-        epilogue->reduce(nullptr);
-      }
-    } else {
+    {
       PhaseScope scope(comm.stats(), Phase::Computation);
       compute(step);
     }
@@ -248,11 +172,11 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
         recv_hop(comm, ch, step);
       }
     }
-    if (schedule == ShiftSchedule::BulkSynchronous) {
+    if (!overlap) {
       PhaseScope scope(comm.stats(), Phase::Propagation);
       comm.barrier();
     }
-    if (journal != nullptr && resumable) {
+    if (journal != nullptr) {
       StepJournal::Snapshot snap;
       // Non-retained steps (checkpoint interval > 1) skip the copy but
       // still record completion, advancing the resume watermark.

@@ -57,35 +57,6 @@ std::uint64_t masked_dot_products(const CsrMatrix& pattern,
          static_cast<std::uint64_t>(a.cols());
 }
 
-std::uint64_t masked_dot_products_rows(const CsrMatrix& pattern,
-                                       const DenseMatrix& a,
-                                       const DenseMatrix& b,
-                                       std::span<Scalar> dots,
-                                       Index row_begin, Index row_end) {
-  check(a.rows() == pattern.rows(), "masked_dot_products_rows: A has ",
-        a.rows(), " rows, S has ", pattern.rows());
-  check(b.rows() == pattern.cols(), "masked_dot_products_rows: B has ",
-        b.rows(), " rows, S has ", pattern.cols(), " cols");
-  check(a.cols() == b.cols(), "masked_dot_products_rows: A width ",
-        a.cols(), " != B width ", b.cols());
-  check(static_cast<Index>(dots.size()) == pattern.nnz(),
-        "masked_dot_products_rows: dots length ", dots.size(), " != nnz ",
-        pattern.nnz());
-  check(0 <= row_begin && row_begin <= row_end &&
-            row_end <= pattern.rows(),
-        "masked_dot_products_rows: range [", row_begin, ", ", row_end,
-        ") outside [0, ", pattern.rows(), ")");
-  dispatch_width(a.cols(), [&](auto w) {
-    constexpr int W = decltype(w)::value;
-    sddmm_rows<W>(pattern, a, b, dots, row_begin, row_end);
-  });
-  const auto row_ptr = pattern.row_ptr();
-  const auto span_nnz = static_cast<std::uint64_t>(
-      row_ptr[static_cast<std::size_t>(row_end)] -
-      row_ptr[static_cast<std::size_t>(row_begin)]);
-  return 2ULL * span_nnz * static_cast<std::uint64_t>(a.cols());
-}
-
 void hadamard_values(std::span<const Scalar> s_values,
                      std::span<const Scalar> dots, std::span<Scalar> out) {
   check(s_values.size() == dots.size() && dots.size() == out.size(),

@@ -24,18 +24,6 @@ std::uint64_t masked_dot_products(const CsrMatrix& pattern,
                                   std::span<Scalar> dots,
                                   ThreadPool* pool = nullptr);
 
-/// Row-range variant, for the pipelined replication overlap: accumulates
-/// dots only for pattern rows [row_begin, row_end). Serial, and
-/// bit-identical to the full call restricted to those rows — every
-/// entry's dot is computed wholly within its row, so covering the rows
-/// with disjoint ranges in ANY order reproduces the full call exactly.
-/// Returns the FLOPs for the entries in range.
-std::uint64_t masked_dot_products_rows(const CsrMatrix& pattern,
-                                       const DenseMatrix& a,
-                                       const DenseMatrix& b,
-                                       std::span<Scalar> dots,
-                                       Index row_begin, Index row_end);
-
 /// out[k] = s_values[k] * dots[k] (the SDDMM post-multiply).
 void hadamard_values(std::span<const Scalar> s_values,
                      std::span<const Scalar> dots, std::span<Scalar> out);

@@ -23,17 +23,6 @@ class ThreadPool;
 std::uint64_t spmm_a(const CsrMatrix& s, const DenseMatrix& b,
                      DenseMatrix& a_out, ThreadPool* pool = nullptr);
 
-/// Row-range variant, for the pipelined reduce-scatter overlap:
-/// accumulates only output rows [row_begin, row_end). Serial, and
-/// bit-identical to the full call restricted to those rows — each output
-/// row's accumulation is independent and runs in the same within-row
-/// entry order, so covering the rows with disjoint ranges in ANY order
-/// reproduces the full call exactly. Returns the FLOPs for the entries
-/// in range.
-std::uint64_t spmm_a_rows(const CsrMatrix& s, const DenseMatrix& b,
-                          DenseMatrix& a_out, Index row_begin,
-                          Index row_end);
-
 /// b_out += S^T . a. b_out has s.cols() rows; a has s.rows() rows.
 /// Returns FLOPs (2 * nnz * r). When pool is provided the scatter is
 /// parallelized with per-thread private accumulation buffers over the

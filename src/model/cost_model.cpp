@@ -382,7 +382,6 @@ ScheduleBounds schedule_bounds(AlgorithmKind kind, Elision elision,
   ScheduleBounds bounds;
   bounds.bulk_synchronous = repl + prop + comp;
   bounds.double_buffered = repl + std::max(prop, comp);
-  bounds.pipelined = std::max(repl + prop, comp);
   return bounds;
 }
 

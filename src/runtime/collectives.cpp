@@ -276,133 +276,147 @@ DenseMatrix Group::allgatherv_rows(const DenseMatrix& local,
                                    std::span<const std::vector<Index>> wants,
                                    ReplicationMode mode,
                                    const WireCodec& codec) {
-  // One chunk per block reproduces the unchunked plan message for
-  // message (a peer's supported rows within one block never exceed
-  // block_rows), so the wire format lives in exactly one place — the
-  // pipelined implementation below.
-  DenseMatrix out;
-  allgatherv_rows_pipelined(local, wants, mode,
-                            std::max<Index>(local.rows(), 1), nullptr,
-                            out, codec);
+  const int g = size();
+  const Index block_rows = local.rows();
+  const Index width = local.cols();
+  validate_support_table(wants, g, static_cast<Index>(g) * block_rows,
+                         mode);
+  DenseMatrix out(static_cast<Index>(g) * block_rows, width);
+  // Empty blocks have nothing to ship in any mode.
+  if (block_rows == 0) return out;
+  mode = resolve_mode(mode, wants, block_rows, width, g, codec);
+  out.place(local, static_cast<Index>(pos_) * block_rows, 0);
+  const auto block_words = static_cast<std::size_t>(block_rows * width);
+  if (mode == ReplicationMode::Dense) {
+    // The ring of allgather_words over row blocks: at step s, forward the
+    // block that originated at (pos - s) and receive the block from
+    // (pos - s - 1). Blocks are contiguous in the row-major result, so
+    // each packs and lands with one flat copy.
+    for (int s = 0; s < g - 1; ++s) {
+      const int send_origin = (pos_ - s + g) % g;
+      const int recv_origin = (pos_ - s - 1 + g) % g;
+      MessageWords outgoing(block_words);
+      std::memcpy(outgoing.data(),
+                  out.row(static_cast<Index>(send_origin) * block_rows)
+                      .data(),
+                  block_words * sizeof(Scalar));
+      // Hop-boundary encode/decode (no-op moves under the default
+      // codec). Quantization is idempotent, so a low-precision block
+      // forwarded unchanged around the ring re-encodes bit-identically
+      // at every hop.
+      comm_.send_words(right(), kTagAllgather,
+                       encode_dense(std::move(outgoing), block_rows, width,
+                                    codec));
+      const MessageWords words =
+          decode_dense(comm_.recv_words(left(), kTagAllgather), block_rows,
+                       width, codec);
+      check(words.size() == block_words, "allgatherv_rows: block of ",
+            words.size(), " words, expected ", block_words);
+      std::memcpy(out.row(static_cast<Index>(recv_origin) * block_rows)
+                      .data(),
+                  words.data(), block_words * sizeof(Scalar));
+    }
+    return out;
+  }
+  // Buffered sends first (deadlock-free), then blocking receives.
+  for (int t = 0; t < g; ++t) {
+    if (t == pos_) continue;
+    const auto rows = support_in_range(
+        wants[static_cast<std::size_t>(t)],
+        static_cast<Index>(pos_) * block_rows, block_rows);
+    if (rows.empty()) continue;
+    const auto wire_rows =
+        rebase_rows(rows, static_cast<Index>(pos_) * block_rows);
+    std::vector<Scalar> values;
+    values.reserve(rows.size() * static_cast<std::size_t>(width));
+    for (const Index r : wire_rows) {
+      const auto row = local.row(r);
+      values.insert(values.end(), row.begin(), row.end());
+    }
+    comm_.send_words(member(t), kTagSparseGather,
+                     encode_rows_chunk(wire_rows, 0, wire_rows.size(),
+                                       block_rows, width, values, codec));
+  }
+  // Unsupported remote rows never travel and stay zero.
+  const auto& mine = wants[static_cast<std::size_t>(pos_)];
+  for (int q = 0; q < g; ++q) {
+    if (q == pos_) continue;
+    const auto expected = support_in_range(
+        mine, static_cast<Index>(q) * block_rows, block_rows);
+    if (expected.empty()) continue;
+    // The codec layer validates the count header, every index, and the
+    // exact payload length against the shared support table.
+    const auto values = decode_rows_chunk(
+        comm_.recv_words(member(q), kTagSparseGather),
+        rebase_rows(expected, static_cast<Index>(q) * block_rows), 0,
+        expected.size(), block_rows, width, codec);
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      const auto* src = values.data() + k * static_cast<std::size_t>(width);
+      std::copy(src, src + width, out.row(expected[k]).begin());
+    }
+  }
   return out;
 }
 
 DenseMatrix Group::reduce_scatter_rows(
     const DenseMatrix& partial, std::span<const std::vector<Index>> wants,
     ReplicationMode mode, const WireCodec& codec) {
-  // One chunk per block reproduces the unchunked plan message for
-  // message, so the wire format lives in exactly one place — the
-  // pipelined implementation below. The dense ring accumulates in
-  // place, hence the working copy (reduce_scatter copied too).
-  DenseMatrix work = partial;
-  const Index block = size() > 0 ? partial.rows() / size() : partial.rows();
-  return reduce_scatter_rows_pipelined(work, wants, mode,
-                                       std::max<Index>(block, 1), nullptr,
-                                       codec);
-}
-
-DenseMatrix Group::reduce_scatter_rows_pipelined(
-    DenseMatrix& partial, std::span<const std::vector<Index>> wants,
-    ReplicationMode mode, Index chunk_rows, const ChunkFn& prepare,
-    const WireCodec& codec) {
   const int g = size();
   check(partial.rows() % g == 0, "reduce_scatter_rows: ", partial.rows(),
         " rows do not split into ", g, " chunks");
-  check(chunk_rows >= 1, "reduce_scatter_rows_pipelined: chunk_rows must "
-        "be >= 1, got ", chunk_rows);
   const Index block_rows = partial.rows() / g;
   const Index width = partial.cols();
   validate_support_table(wants, g, partial.rows(), mode);
+  // Empty chunks have nothing to ship in any mode.
+  if (block_rows == 0) return DenseMatrix(0, width);
   mode = resolve_mode(mode, wants, block_rows, width, g, codec);
-  const auto fire = [&](Index row0, Index row1) {
-    if (prepare && row1 > row0) prepare(row0, row1);
+  const auto row_chunk = [&](int idx) {
+    return partial.row_block(static_cast<Index>(idx) * block_rows,
+                             static_cast<Index>(idx + 1) * block_rows);
   };
   if (mode == ReplicationMode::Dense) {
-    // The ring of reduce_scatter, one chunk at a time and accumulating
-    // straight into the partial: at step s this member streams chunk
-    // (pos-1-s) — already folded at step s-1, or fresh local rows at
-    // s=0 — and folds the incoming chunk (pos-2-s) as partial += words,
-    // the exact element order of the unchunked add_scalars, so every
-    // row's sum is grouped identically. Sends are buffered, so the
-    // per-chunk interleave cannot deadlock.
+    // The ring of reduce_scatter over row chunks: at step s this member
+    // forwards chunk (pos-1-s) — fresh local rows at s=0, the chunk it
+    // folded at step s-1 after — and folds the incoming chunk (pos-2-s)
+    // as local += words, the exact element order of reduce_scatter. The
+    // last chunk folded is its own.
+    DenseMatrix acc = row_chunk((pos_ - 1 + g) % g);
     for (int s = 0; s < g - 1; ++s) {
-      const int send_idx = (pos_ - 1 - s + 2 * g) % g;
-      const int recv_idx = (pos_ - 2 - s + 2 * g) % g;
-      for (Index c0 = 0; c0 < block_rows; c0 += chunk_rows) {
-        const Index c1 = std::min(block_rows, c0 + chunk_rows);
-        const Index send0 = static_cast<Index>(send_idx) * block_rows + c0;
-        if (s == 0) fire(send0, send0 + (c1 - c0));
-        const auto span_words = static_cast<std::size_t>((c1 - c0) * width);
-        MessageWords outgoing(span_words);
-        std::memcpy(outgoing.data(), partial.row(send0).data(),
-                    span_words * sizeof(Scalar));
-        // Encode at the hop boundary (a no-op move under the default
-        // codec); the running partial sums re-quantize per hop at low
-        // precision — the one wire path whose rounding depends on the
-        // replication mode.
-        comm_.send_words(right(), kTagReduceScatter,
-                         encode_dense(std::move(outgoing), c1 - c0, width,
-                                      codec));
-        const MessageWords incoming =
-            decode_dense(comm_.recv_words(left(), kTagReduceScatter),
-                         c1 - c0, width, codec);
-        check(incoming.size() == span_words,
-              "reduce_scatter_rows_pipelined: chunk of ", incoming.size(),
-              " words, expected ", span_words);
-        const Index recv0 = static_cast<Index>(recv_idx) * block_rows + c0;
-        fire(recv0, recv0 + (c1 - c0));
-        Scalar* dst = partial.row(recv0).data();
-        for (std::size_t i = 0; i < span_words; ++i) {
-          Scalar v;
-          std::memcpy(&v, &incoming[i], sizeof(Scalar));
-          dst[i] += v;
-        }
-      }
+      // Encode at the hop boundary (a no-op move under the default
+      // codec); the running partial sums re-quantize per hop at low
+      // precision — the one wire path whose rounding depends on the
+      // replication mode.
+      comm_.send_words(right(), kTagReduceScatter,
+                       encode_dense(to_words(acc.data()), block_rows, width,
+                                    codec));
+      const MessageWords incoming =
+          decode_dense(comm_.recv_words(left(), kTagReduceScatter),
+                       block_rows, width, codec);
+      acc = row_chunk((pos_ - 2 - s + 2 * g) % g);
+      add_scalars(acc.data(), incoming);
     }
-    if (g == 1) fire(0, block_rows);
-    return partial.row_block(static_cast<Index>(pos_) * block_rows,
-                             static_cast<Index>(pos_ + 1) * block_rows);
+    return acc;
   }
   const Index chunk0 = static_cast<Index>(pos_) * block_rows;
   const auto& mine = wants[static_cast<std::size_t>(pos_)];
-  const auto chunk = static_cast<std::size_t>(chunk_rows);
   // Sends walk the peers in the dense ring's send order (pos-1, pos-2,
-  // ..., pos+1) so the prepare ranges stream in the order the words
-  // enter the wire; chunk boundaries are derived from the shared support
-  // table and the count header rides only on each pair's first chunk, so
-  // the words equal the unchunked plan exactly. Peers whose chunk holds
-  // none of this member's support still get their rows prepared (the
-  // tiling contract), just no message.
+  // ..., pos+1); a peer whose chunk holds none of this member's support
+  // gets no message.
   for (int s = 1; s < g; ++s) {
     const int t = (pos_ - s + g) % g;
     const Index t0 = static_cast<Index>(t) * block_rows;
     const auto rows = support_in_range(mine, t0, block_rows);
-    if (rows.empty()) {
-      fire(t0, t0 + block_rows);
-      continue;
+    if (rows.empty()) continue;
+    std::vector<Scalar> values;
+    values.reserve(rows.size() * static_cast<std::size_t>(width));
+    for (const Index r : rows) {
+      const auto row = partial.row(r);
+      values.insert(values.end(), row.begin(), row.end());
     }
-    const auto wire_rows = rebase_rows(rows, t0);
-    Index done = t0;
-    for (std::size_t k0 = 0; k0 < rows.size(); k0 += chunk) {
-      const std::size_t k1 = std::min(rows.size(), k0 + chunk);
-      const Index end =
-          k1 == rows.size() ? t0 + block_rows : rows[k1 - 1] + 1;
-      fire(done, end);
-      done = end;
-      std::vector<Scalar> values;
-      values.reserve((k1 - k0) * static_cast<std::size_t>(width));
-      for (std::size_t k = k0; k < k1; ++k) {
-        const auto row = partial.row(rows[k]);
-        values.insert(values.end(), row.begin(), row.end());
-      }
-      comm_.send_words(member(t), kTagSparseReduce,
-                       encode_rows_chunk(wire_rows, k0, k1, block_rows,
-                                         width, values, codec));
-    }
+    comm_.send_words(member(t), kTagSparseReduce,
+                     encode_rows_chunk(rebase_rows(rows, t0), 0, rows.size(),
+                                       block_rows, width, values, codec));
   }
-  // Own rows are prepared before the blocking receives so the wait
-  // overlaps the tail of the caller's interleaved compute.
-  fire(chunk0, chunk0 + block_rows);
   // Fold contributions in the ring reduce-scatter's order — members
   // pos+1, pos+2, ..., pos+g-1, then this member's own block last — so
   // every row's sum is grouped exactly as in the dense path.
@@ -412,20 +426,16 @@ DenseMatrix Group::reduce_scatter_rows_pipelined(
     const auto expected = support_in_range(
         wants[static_cast<std::size_t>(q)], chunk0, block_rows);
     if (expected.empty()) continue;
-    const auto wire_expected = rebase_rows(expected, chunk0);
-    for (std::size_t k0 = 0; k0 < expected.size(); k0 += chunk) {
-      const std::size_t k1 = std::min(expected.size(), k0 + chunk);
-      // The codec layer validates the count header, every index, and the
-      // exact payload length against the shared support table.
-      const auto values = decode_rows_chunk(
-          comm_.recv_words(member(q), kTagSparseReduce), wire_expected, k0,
-          k1, block_rows, width, codec);
-      for (std::size_t k = k0; k < k1; ++k) {
-        auto dst = acc.row(expected[k] - chunk0);
-        const auto* src =
-            values.data() + (k - k0) * static_cast<std::size_t>(width);
-        for (std::size_t j = 0; j < dst.size(); ++j) dst[j] += src[j];
-      }
+    // The codec layer validates the count header, every index, and the
+    // exact payload length against the shared support table.
+    const auto values = decode_rows_chunk(
+        comm_.recv_words(member(q), kTagSparseReduce),
+        rebase_rows(expected, chunk0), 0, expected.size(), block_rows,
+        width, codec);
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      auto dst = acc.row(expected[k] - chunk0);
+      const auto* src = values.data() + k * static_cast<std::size_t>(width);
+      for (std::size_t j = 0; j < dst.size(); ++j) dst[j] += src[j];
     }
   }
   for (Index i = 0; i < block_rows; ++i) {
@@ -494,162 +504,6 @@ DenseMatrix Group::sendrecv_cols(int to_pos, int from_pos,
                 landed.size() * sizeof(Scalar));
   }
   return DenseMatrix(block_rows, width, std::move(values));
-}
-
-void Group::allgatherv_pipelined(const DenseMatrix& local,
-                                 Index chunk_rows, const ChunkFn& on_chunk,
-                                 DenseMatrix& out, const WireCodec& codec) {
-  const int g = size();
-  const Index block_rows = local.rows();
-  const Index width = local.cols();
-  check(chunk_rows >= 1, "allgatherv_pipelined: chunk_rows must be >= 1, "
-        "got ", chunk_rows);
-  out = DenseMatrix(static_cast<Index>(g) * block_rows, width);
-  out.place(local, static_cast<Index>(pos_) * block_rows, 0);
-  const auto fire = [&](Index row0, Index row1) {
-    if (on_chunk) on_chunk(row0, row1);
-  };
-  // Resident rows are final before any communication.
-  for (Index c0 = 0; c0 < block_rows; c0 += chunk_rows) {
-    const Index c1 = std::min(block_rows, c0 + chunk_rows);
-    fire(static_cast<Index>(pos_) * block_rows + c0,
-         static_cast<Index>(pos_) * block_rows + c1);
-  }
-  // The dense ring of allgather_words, one chunk at a time: at step s,
-  // forward the chunks of the block that originated at (pos - s) and
-  // stream in the chunks of the block from (pos - s - 1). Sends are
-  // buffered, so interleaving per chunk cannot deadlock; it just lets
-  // the receiver's on_chunk work start while later chunks are in flight.
-  // Chunk rows are contiguous in the row-major result, so each chunk
-  // packs and lands with one flat copy — the per-word cost matches the
-  // unchunked ring's to_words/memcpy path.
-  for (int s = 0; s < g - 1; ++s) {
-    const int send_origin = (pos_ - s + g) % g;
-    const int recv_origin = (pos_ - s - 1 + g) % g;
-    for (Index c0 = 0; c0 < block_rows; c0 += chunk_rows) {
-      const Index c1 = std::min(block_rows, c0 + chunk_rows);
-      const auto span_words =
-          static_cast<std::size_t>((c1 - c0) * width);
-      MessageWords outgoing(span_words);
-      std::memcpy(
-          outgoing.data(),
-          out.row(static_cast<Index>(send_origin) * block_rows + c0)
-              .data(),
-          span_words * sizeof(Scalar));
-      // Hop-boundary encode/decode (no-op moves under the default
-      // codec). Quantization is idempotent, so a low-precision block
-      // forwarded unchanged around the ring re-encodes bit-identically
-      // at every hop.
-      comm_.send_words(right(), kTagAllgather,
-                       encode_dense(std::move(outgoing), c1 - c0, width,
-                                    codec));
-      const MessageWords words =
-          decode_dense(comm_.recv_words(left(), kTagAllgather), c1 - c0,
-                       width, codec);
-      check(words.size() == span_words,
-            "allgatherv_pipelined: chunk of ", words.size(),
-            " words, expected ", span_words);
-      const Index row0 = static_cast<Index>(recv_origin) * block_rows + c0;
-      std::memcpy(out.row(row0).data(), words.data(),
-                  span_words * sizeof(Scalar));
-      fire(row0, static_cast<Index>(recv_origin) * block_rows + c1);
-    }
-  }
-}
-
-void Group::allgatherv_rows_pipelined(
-    const DenseMatrix& local, std::span<const std::vector<Index>> wants,
-    ReplicationMode mode, Index chunk_rows, const ChunkFn& on_chunk,
-    DenseMatrix& out, const WireCodec& codec) {
-  const int g = size();
-  const Index block_rows = local.rows();
-  const Index width = local.cols();
-  check(chunk_rows >= 1, "allgatherv_rows_pipelined: chunk_rows must be "
-        ">= 1, got ", chunk_rows);
-  validate_support_table(wants, g, static_cast<Index>(g) * block_rows,
-                         mode);
-  mode = resolve_mode(mode, wants, block_rows, width, g, codec);
-  if (mode == ReplicationMode::Dense) {
-    allgatherv_pipelined(local, chunk_rows, on_chunk, out, codec);
-    return;
-  }
-  const auto chunk = static_cast<std::size_t>(chunk_rows);
-  out = DenseMatrix(static_cast<Index>(g) * block_rows, width);
-  out.place(local, static_cast<Index>(pos_) * block_rows, 0);
-  // Buffered chunk sends first (deadlock-free), then blocking receives.
-  for (int t = 0; t < g; ++t) {
-    if (t == pos_) continue;
-    const auto rows = support_in_range(
-        wants[static_cast<std::size_t>(t)],
-        static_cast<Index>(pos_) * block_rows, block_rows);
-    if (rows.empty()) continue;
-    const auto wire_rows =
-        rebase_rows(rows, static_cast<Index>(pos_) * block_rows);
-    for (std::size_t k0 = 0; k0 < rows.size(); k0 += chunk) {
-      const std::size_t k1 = std::min(rows.size(), k0 + chunk);
-      std::vector<Scalar> values;
-      values.reserve((k1 - k0) * static_cast<std::size_t>(width));
-      for (std::size_t k = k0; k < k1; ++k) {
-        const auto row = local.row(wire_rows[k]);
-        values.insert(values.end(), row.begin(), row.end());
-      }
-      comm_.send_words(member(t), kTagSparseGather,
-                       encode_rows_chunk(wire_rows, k0, k1, block_rows,
-                                         width, values, codec));
-    }
-  }
-  const auto fire = [&](Index row0, Index row1) {
-    if (on_chunk) on_chunk(row0, row1);
-  };
-  // Rows that never travel are final before any receive: the resident
-  // block, and whole blocks of origins this member needs nothing from
-  // (their unsupported rows stay zero).
-  for (Index c0 = 0; c0 < block_rows; c0 += chunk_rows) {
-    const Index c1 = std::min(block_rows, c0 + chunk_rows);
-    fire(static_cast<Index>(pos_) * block_rows + c0,
-         static_cast<Index>(pos_) * block_rows + c1);
-  }
-  const auto& mine = wants[static_cast<std::size_t>(pos_)];
-  for (int q = 0; q < g; ++q) {
-    if (q == pos_) continue;
-    if (support_in_range(mine, static_cast<Index>(q) * block_rows,
-                         block_rows)
-            .empty()) {
-      fire(static_cast<Index>(q) * block_rows,
-           static_cast<Index>(q + 1) * block_rows);
-    }
-  }
-  for (int q = 0; q < g; ++q) {
-    if (q == pos_) continue;
-    const auto expected = support_in_range(
-        mine, static_cast<Index>(q) * block_rows, block_rows);
-    if (expected.empty()) continue;
-    const auto wire_expected =
-        rebase_rows(expected, static_cast<Index>(q) * block_rows);
-    // Chunk boundaries are derived from the shared support table — both
-    // sides split the same sorted row list the same way, so only the
-    // first chunk needs the count header and the words stay exactly
-    // those of the unchunked plan.
-    Index done = static_cast<Index>(q) * block_rows;
-    for (std::size_t k0 = 0; k0 < expected.size(); k0 += chunk) {
-      const std::size_t k1 = std::min(expected.size(), k0 + chunk);
-      // The codec layer validates the count header, every index, and the
-      // exact payload length against the shared support table.
-      const auto values = decode_rows_chunk(
-          comm_.recv_words(member(q), kTagSparseGather), wire_expected, k0,
-          k1, block_rows, width, codec);
-      for (std::size_t k = k0; k < k1; ++k) {
-        const auto* src =
-            values.data() + (k - k0) * static_cast<std::size_t>(width);
-        std::copy(src, src + width, out.row(expected[k]).begin());
-      }
-      const Index end = k1 == expected.size()
-                            ? static_cast<Index>(q + 1) * block_rows
-                            : expected[k1 - 1] + 1;
-      fire(done, end);
-      done = end;
-    }
-  }
 }
 
 std::vector<Scalar> Group::allreduce(std::span<const Scalar> local) {

@@ -12,7 +12,6 @@
 /// fiber / row / column peers), so no registration round is needed.
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -22,21 +21,6 @@
 #include "runtime/wire.hpp"
 
 namespace dsk {
-
-/// Completion callback of the pipelined all-gathers: result rows
-/// [row0, row1) are final. Over one collective the delivered ranges tile
-/// the whole result exactly once (no overlap, no gap), but not in global
-/// row order — own rows first, then remote blocks in arrival order.
-using ChunkFn = std::function<void(Index row0, Index row1)>;
-
-/// Resolve the pipelined collectives' chunk size: a requested value wins
-/// (clamped to at least one row); 0 means auto — quarter blocks, coarse
-/// enough that the per-message overhead stays negligible while the first
-/// chunk lands ~4x earlier than the full block would.
-inline Index pipeline_chunk_rows(Index requested, Index block_rows) {
-  if (requested > 0) return requested;
-  return std::max<Index>(1, (block_rows + 3) / 4);
-}
 
 /// Words of one column-support compressed dense-block message carrying
 /// `count` supported rows of `width` values each: a count header plus
@@ -151,8 +135,7 @@ class Group {
   /// the sparse plan only when it wins, so the max-over-ranks words
   /// under Auto never exceed Dense — even for skewed supports.
   /// Supported rows are bit-identical across all modes.
-  /// All row-sparse collectives and the dense pipelined rings accept a
-  /// WireCodec: the default reproduces the historical byte layout, a
+  /// All row-sparse collectives accept a WireCodec: the default reproduces the historical byte layout, a
   /// non-default codec re-encodes every hop's payload (and Auto's
   /// crossover compares the ENCODED sizes). Decoded values accumulate in
   /// full precision.
@@ -162,9 +145,9 @@ class Group {
                               const WireCodec& codec = {});
 
   /// Row-sparse reduce-scatter, the inverse: partial is a
-  /// size()*chunk_rows x width accumulator whose nonzero rows are
+  /// size()*block_rows x width accumulator whose nonzero rows are
   /// confined to wants[pos()] (this member's own support — its kernels
-  /// wrote nothing else); returns this member's chunk_rows x width chunk
+  /// wrote nothing else); returns this member's block_rows x width chunk
   /// summed over all members. The sparse path folds contributions in the
   /// same ring order as the dense reduce-scatter (members pos+1, pos+2,
   /// ..., own block last), so the result is bit-identical in every mode.
@@ -172,26 +155,6 @@ class Group {
                                   std::span<const std::vector<Index>> wants,
                                   ReplicationMode mode,
                                   const WireCodec& codec = {});
-
-  /// Streaming sibling of reduce_scatter_rows, mirroring
-  /// allgatherv_rows_pipelined on the way OUT of a loop: the collective
-  /// consumes the partial chunk by chunk (at most chunk_rows rows per
-  /// message; the sparse plan's count header rides only on each pair's
-  /// first chunk, so WORDS ARE EXACTLY UNCHANGED in every mode — only
-  /// message counts grow). `prepare`, when non-null, is invoked with
-  /// disjoint row ranges that tile [0, partial.rows()) exactly once,
-  /// each immediately BEFORE the collective first reads those partial
-  /// rows — the shift-loop epilogue routes the final step's row-sliced
-  /// kernel through it, so the earliest chunks enter the wire while the
-  /// later rows are still being computed. The dense ring accumulates in
-  /// place (partial is consumed) in the exact per-row order of
-  /// reduce_scatter, and the sparse plan folds in the same ring order as
-  /// reduce_scatter_rows, so the result is bit-identical to the
-  /// unchunked collective in every mode and for every chunk size.
-  DenseMatrix reduce_scatter_rows_pipelined(
-      DenseMatrix& partial, std::span<const std::vector<Index>> wants,
-      ReplicationMode mode, Index chunk_rows, const ChunkFn& prepare,
-      const WireCodec& codec = {});
 
   /// One hop of a column-support compressed cyclic shift, as a paired
   /// Group call (the shift loop performs the same exchange with its
@@ -209,37 +172,6 @@ class Group {
                             std::span<const Index> recv_cols,
                             PropagationMode mode, int tag = kTagShift,
                             const WireCodec& codec = {});
-
-  /// Chunked, ring-structured all-gather of dense row blocks
-  /// (SparCML-style streaming): bit-identical result and word counts to
-  /// the plain ring all-gather — each origin block is merely split into
-  /// ceil(block_rows/chunk_rows) messages — but on_chunk fires as each
-  /// row range of the result finalizes, so a caller can overlap per-row
-  /// work with the chunks still in flight. Own rows fire first (they
-  /// are resident), then remote blocks in ring arrival order. The
-  /// result builds up IN `out` (resized on entry): when on_chunk(row0,
-  /// row1) fires, out rows [row0, row1) are final and readable even
-  /// though later rows are still streaming.
-  void allgatherv_pipelined(const DenseMatrix& local, Index chunk_rows,
-                            const ChunkFn& on_chunk, DenseMatrix& out,
-                            const WireCodec& codec = {});
-
-  /// Row-sparse sibling: the allgatherv_rows plan with every per-peer
-  /// row message split into chunks of at most chunk_rows rows. Word
-  /// counts equal the unchunked plan exactly — the one-word count header
-  /// rides only on the first chunk of each (sender, receiver) pair, and
-  /// later chunk boundaries are derived from the shared support table.
-  /// on_chunk ranges still tile the whole result: unsupported remote
-  /// rows (never shipped, left zero) are attributed to the chunk that
-  /// passes them, and origins with empty support finalize up front.
-  /// Auto resolves exactly as in allgatherv_rows (same words, same
-  /// crossover), falling back to the dense pipelined ring when Dense
-  /// wins. As above, `out` is live during delivery.
-  void allgatherv_rows_pipelined(const DenseMatrix& local,
-                                 std::span<const std::vector<Index>> wants,
-                                 ReplicationMode mode, Index chunk_rows,
-                                 const ChunkFn& on_chunk, DenseMatrix& out,
-                                 const WireCodec& codec = {});
 
   /// Total words the whole group would move for one row-sparse plan
   /// (either direction — the ordered-pair sums coincide): per non-empty

@@ -135,11 +135,9 @@ class WordPacker {
   WordPacker& put(std::span<const T> data) {
     static_assert(sizeof(T) == sizeof(std::uint64_t));
     const std::size_t old = words_.size();
-    // GCC 12 cannot prove the subspan lengths at the pipelined
-    // collective call sites are non-negative and flags the memset
-    // inside vector::resize with a near-SIZE_MAX bound
-    // (-Wstringop-overflow false positive); the lengths are chunk
-    // sizes clamped by std::min at every caller.
+    // GCC 12 cannot always prove a subspan length non-negative and
+    // flags the memset inside vector::resize with a near-SIZE_MAX bound
+    // (-Wstringop-overflow false positive).
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wstringop-overflow"

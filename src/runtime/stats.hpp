@@ -139,10 +139,9 @@ class RankStats {
 /// RAII phase marker: sets the rank's phase for the enclosed scope,
 /// restores the previous phase on exit, and charges the scope's measured
 /// wall-clock span to its phase. Scopes nest EXCLUSIVELY: opening an
-/// inner scope pauses the outer one's clock, so interleaved phases — the
-/// pipelined replication prologue runs computation chunks inside a
-/// replication scope — attribute every instant to exactly one phase and
-/// the per-phase spans still sum to the covered wall time.
+/// inner scope pauses the outer one's clock, so nested phases attribute
+/// every instant to exactly one phase and the per-phase spans still sum
+/// to the covered wall time.
 class PhaseScope {
  public:
   PhaseScope(RankStats& stats, Phase phase)
@@ -223,14 +222,6 @@ class WorldStats {
   /// e.g. via one-sided MPI/RDMA): per rank, replication + max(prop,
   /// comp) instead of their sum; max over ranks.
   double modeled_overlap_seconds(const MachineModel& m) const;
-
-  /// Kernel time if ALL communication — replication and propagation —
-  /// were hidden behind local computation: per rank max(comp, repl +
-  /// prop); max over ranks. This is the modeled upper bound for the
-  /// Pipelined schedule, which streams the replication collectives into
-  /// the first shift step (SparCML-style chunking) on top of the
-  /// double-buffered propagation overlap.
-  double modeled_pipeline_seconds(const MachineModel& m) const;
 
   /// Max over ranks of measured wall-clock seconds spent in a phase
   /// (PhaseScope spans, including time blocked in receives/barriers).

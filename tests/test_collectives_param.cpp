@@ -187,17 +187,18 @@ TEST_P(CollectiveSweep, AllgathervRowsDeliversSupportedRowsExactly) {
         ASSERT_EQ(out.rows(), total_rows);
         const auto& mine =
             wants[static_cast<std::size_t>(comm.rank())];
-        for (const Index row : mine) {
+        const Index own0 = comm.rank() * kBlockRows;
+        // The dense ring delivers every row. The sparse plan delivers the
+        // supported rows and leaves the rest zero. The member's own block
+        // always arrives whole, free of charge.
+        for (Index row = 0; row < total_rows; ++row) {
+          const bool delivered =
+              mode == ReplicationMode::Dense ||
+              (own0 <= row && row < own0 + kBlockRows) ||
+              std::binary_search(mine.begin(), mine.end(), row);
           for (Index j = 0; j < kWidth; ++j) {
-            EXPECT_EQ(out(row, j), expected(row, j))
+            EXPECT_EQ(out(row, j), delivered ? expected(row, j) : 0.0)
                 << to_string(mode) << " row " << row;
-          }
-        }
-        // The member's own block always arrives whole, free of charge.
-        for (Index i = 0; i < kBlockRows; ++i) {
-          const Index row = comm.rank() * kBlockRows + i;
-          for (Index j = 0; j < kWidth; ++j) {
-            EXPECT_EQ(out(row, j), expected(row, j));
           }
         }
       });
@@ -211,6 +212,7 @@ TEST_P(CollectiveSweep, AllgathervRowsWordCountsMatchThePlan) {
   for (const Support regime :
        {Support::Empty, Support::SingleRow, Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
+    std::uint64_t messages = 0;
     const auto total_words = [&](ReplicationMode mode) {
       auto stats = run_spmd(g, [&](Comm& comm) {
         PhaseScope scope(comm.stats(), Phase::Replication);
@@ -218,18 +220,38 @@ TEST_P(CollectiveSweep, AllgathervRowsWordCountsMatchThePlan) {
         group.allgatherv_rows(member_block(comm.rank()), wants, mode);
       });
       std::uint64_t total = 0;
+      messages = 0;
       for (int rank = 0; rank < g; ++rank) {
         total += stats.rank(rank).phase(Phase::Replication).words_sent;
+        messages +=
+            stats.rank(rank).phase(Phase::Replication).messages_sent;
       }
       return total;
     };
+    // One message per block: g-1 ring hops per member, or one per
+    // (sender, receiver) pair with a non-empty support intersection.
+    std::uint64_t plan_messages = 0;
+    for (int t = 0; t < g; ++t) {
+      for (int q = 0; q < g; ++q) {
+        const auto& w = wants[static_cast<std::size_t>(t)];
+        const auto lo = std::lower_bound(w.begin(), w.end(),
+                                         static_cast<Index>(q) * kBlockRows);
+        if (q != t && lo != w.end() &&
+            *lo < static_cast<Index>(q + 1) * kBlockRows) {
+          ++plan_messages;
+        }
+      }
+    }
     const std::uint64_t dense_words =
         static_cast<std::uint64_t>(g) * static_cast<std::uint64_t>(g - 1) *
         kBlockRows * kWidth;
     const std::uint64_t plan_words =
         Group::sparse_plan_words(wants, kBlockRows, kWidth);
     EXPECT_EQ(total_words(ReplicationMode::Dense), dense_words);
+    EXPECT_EQ(messages, static_cast<std::uint64_t>(g) *
+                            static_cast<std::uint64_t>(g - 1));
     EXPECT_EQ(total_words(ReplicationMode::SparseRows), plan_words);
+    EXPECT_EQ(messages, plan_messages);
     // Auto decides on the plan's worst member, not group totals (see
     // AutoDecidesPerRankNotOnGroupTotals); the guaranteed property is
     // that it never moves more words than the dense ring.
@@ -255,20 +277,55 @@ TEST_P(CollectiveSweep, ReduceScatterRowsBitIdenticalToDense) {
       }
       return partial;
     };
+    std::uint64_t words = 0;
     const auto run_mode = [&](ReplicationMode mode) {
       std::vector<DenseMatrix> chunks(static_cast<std::size_t>(g));
-      run_spmd(g, [&](Comm& comm) {
+      const auto stats = run_spmd(g, [&](Comm& comm) {
+        PhaseScope scope(comm.stats(), Phase::Replication);
         Group group(comm, all_ranks(g));
         chunks[static_cast<std::size_t>(comm.rank())] =
             group.reduce_scatter_rows(member_partial(comm.rank()), wants,
                                       mode);
       });
+      words = 0;
+      for (int rank = 0; rank < g; ++rank) {
+        words += stats.rank(rank).phase(Phase::Replication).words_sent;
+      }
       return chunks;
     };
     const auto dense = run_mode(ReplicationMode::Dense);
+    EXPECT_EQ(words, static_cast<std::uint64_t>(g) *
+                         static_cast<std::uint64_t>(g - 1) * kBlockRows *
+                         kWidth);
+    // The dense ring against a serial fold in its order: members pos+1,
+    // pos+2, ..., pos+g-1, then the member's own partial last.
+    for (int rank = 0; rank < g; ++rank) {
+      DenseMatrix want(kBlockRows, kWidth);
+      const Index row0 = static_cast<Index>(rank) * kBlockRows;
+      for (int s = 1; s <= g; ++s) {
+        const DenseMatrix partial = member_partial((rank + s) % g);
+        for (Index i = 0; i < kBlockRows; ++i) {
+          for (Index j = 0; j < kWidth; ++j) {
+            want(i, j) = s == 1 ? partial(row0 + i, j)
+                                : want(i, j) + partial(row0 + i, j);
+          }
+        }
+      }
+      const auto& have = dense[static_cast<std::size_t>(rank)];
+      ASSERT_EQ(have.rows(), kBlockRows);
+      for (Index i = 0; i < kBlockRows; ++i) {
+        for (Index j = 0; j < kWidth; ++j) {
+          EXPECT_EQ(have(i, j), want(i, j)) << "rank " << rank;
+        }
+      }
+    }
+    const auto sparse = run_mode(ReplicationMode::SparseRows);
+    EXPECT_EQ(words, Group::sparse_plan_words(wants, kBlockRows, kWidth));
     for (const ReplicationMode mode :
          {ReplicationMode::SparseRows, ReplicationMode::Auto}) {
-      const auto got = run_mode(mode);
+      const auto got = mode == ReplicationMode::SparseRows
+                           ? sparse
+                           : run_mode(mode);
       for (int rank = 0; rank < g; ++rank) {
         const auto& want = dense[static_cast<std::size_t>(rank)];
         const auto& have = got[static_cast<std::size_t>(rank)];
@@ -280,169 +337,6 @@ TEST_P(CollectiveSweep, ReduceScatterRowsBitIdenticalToDense) {
             EXPECT_EQ(have(i, j), want(i, j))
                 << to_string(mode) << " rank " << rank;
           }
-        }
-      }
-    }
-  }
-}
-
-/// The pipelined all-gathers must be drop-in equivalents of the
-/// unchunked collectives for every chunk size — including chunk = 1
-/// (per-row streaming) and chunk >= block_rows (one chunk per block) —
-/// across all support regimes and replication modes. Three properties
-/// per combination: bit-identical result matrix, identical per-rank
-/// word counts, and chunk callbacks that tile the result exactly once.
-TEST_P(CollectiveSweep, PipelinedAllgatherMatchesUnchunked) {
-  const int g = GetParam();
-  const Index total_rows = static_cast<Index>(g) * kBlockRows;
-  for (const Support regime :
-       {Support::Empty, Support::SingleRow, Support::Full}) {
-    const auto wants = make_wants(regime, g, total_rows);
-    for (const ReplicationMode mode :
-         {ReplicationMode::Dense, ReplicationMode::SparseRows,
-          ReplicationMode::Auto}) {
-      for (const Index chunk_rows :
-           {Index{1}, Index{2}, kBlockRows, kBlockRows + 5}) {
-        std::vector<WorldStats> stats(2);
-        std::vector<DenseMatrix> plain(static_cast<std::size_t>(g));
-        std::vector<DenseMatrix> piped(static_cast<std::size_t>(g));
-        stats[0] = run_spmd(g, [&](Comm& comm) {
-          PhaseScope scope(comm.stats(), Phase::Replication);
-          Group group(comm, all_ranks(g));
-          plain[static_cast<std::size_t>(comm.rank())] =
-              group.allgatherv_rows(member_block(comm.rank()), wants,
-                                    mode);
-        });
-        std::vector<std::vector<std::pair<Index, Index>>> chunks(
-            static_cast<std::size_t>(g));
-        stats[1] = run_spmd(g, [&](Comm& comm) {
-          PhaseScope scope(comm.stats(), Phase::Replication);
-          Group group(comm, all_ranks(g));
-          auto& seen = chunks[static_cast<std::size_t>(comm.rank())];
-          group.allgatherv_rows_pipelined(
-              member_block(comm.rank()), wants, mode, chunk_rows,
-              [&](Index row0, Index row1) {
-                seen.emplace_back(row0, row1);
-              },
-              piped[static_cast<std::size_t>(comm.rank())]);
-        });
-        for (int rank = 0; rank < g; ++rank) {
-          const auto& want = plain[static_cast<std::size_t>(rank)];
-          const auto& have = piped[static_cast<std::size_t>(rank)];
-          ASSERT_EQ(have.rows(), want.rows());
-          EXPECT_EQ(want.max_abs_diff(have), 0.0)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
-          // Identical words per rank (messages may differ — that is the
-          // chunking); the cost model's word accounting cannot drift.
-          EXPECT_EQ(
-              stats[0].rank(rank).phase(Phase::Replication).words_sent,
-              stats[1].rank(rank).phase(Phase::Replication).words_sent)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
-          // The delivered ranges tile [0, total_rows) exactly once.
-          auto seen = chunks[static_cast<std::size_t>(rank)];
-          std::sort(seen.begin(), seen.end());
-          Index covered = 0;
-          for (const auto& [row0, row1] : seen) {
-            EXPECT_EQ(row0, covered)
-                << to_string(mode) << " chunk " << chunk_rows << " rank "
-                << rank;
-            EXPECT_LT(row0, row1);
-            covered = row1;
-          }
-          EXPECT_EQ(covered, total_rows)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
-        }
-      }
-    }
-  }
-}
-
-/// The streaming reduce-scatter must be a drop-in equivalent of the
-/// unchunked collective for every chunk size — including chunk = 1
-/// (per-row streaming) and chunk >= block rows (one message per pair) —
-/// across all support regimes and replication modes. Three properties
-/// per combination: bit-identical result chunk, identical per-rank word
-/// counts, and prepare callbacks whose ranges tile the partial exactly
-/// once, each fired before the collective first reads those rows.
-TEST_P(CollectiveSweep, PipelinedReduceScatterMatchesUnchunked) {
-  const int g = GetParam();
-  const Index total_rows = static_cast<Index>(g) * kBlockRows;
-  for (const Support regime :
-       {Support::Empty, Support::SingleRow, Support::Full}) {
-    const auto wants = make_wants(regime, g, total_rows);
-    const auto member_partial = [&](int member) {
-      DenseMatrix partial(total_rows, kWidth);
-      Rng rng(900 + static_cast<unsigned>(member));
-      for (const Index row : wants[static_cast<std::size_t>(member)]) {
-        for (Index j = 0; j < kWidth; ++j) {
-          partial(row, j) = rng.next_in(-1, 1);
-        }
-      }
-      return partial;
-    };
-    for (const ReplicationMode mode :
-         {ReplicationMode::Dense, ReplicationMode::SparseRows,
-          ReplicationMode::Auto}) {
-      std::vector<DenseMatrix> plain(static_cast<std::size_t>(g));
-      const auto plain_stats = run_spmd(g, [&](Comm& comm) {
-        PhaseScope scope(comm.stats(), Phase::Replication);
-        Group group(comm, all_ranks(g));
-        plain[static_cast<std::size_t>(comm.rank())] =
-            group.reduce_scatter_rows(member_partial(comm.rank()), wants,
-                                      mode);
-      });
-      for (const Index chunk_rows :
-           {Index{1}, Index{2}, kBlockRows, kBlockRows + 5}) {
-        std::vector<DenseMatrix> piped(static_cast<std::size_t>(g));
-        std::vector<std::vector<std::pair<Index, Index>>> prepared(
-            static_cast<std::size_t>(g));
-        const auto piped_stats = run_spmd(g, [&](Comm& comm) {
-          PhaseScope scope(comm.stats(), Phase::Replication);
-          Group group(comm, all_ranks(g));
-          DenseMatrix partial = member_partial(comm.rank());
-          auto& seen = prepared[static_cast<std::size_t>(comm.rank())];
-          piped[static_cast<std::size_t>(comm.rank())] =
-              group.reduce_scatter_rows_pipelined(
-                  partial, wants, mode, chunk_rows,
-                  [&](Index row0, Index row1) {
-                    seen.emplace_back(row0, row1);
-                  });
-        });
-        for (int rank = 0; rank < g; ++rank) {
-          const auto& want = plain[static_cast<std::size_t>(rank)];
-          const auto& have = piped[static_cast<std::size_t>(rank)];
-          ASSERT_EQ(have.rows(), want.rows());
-          for (Index i = 0; i < want.rows(); ++i) {
-            for (Index j = 0; j < want.cols(); ++j) {
-              // Bit-identical, not merely close: chunking must not
-              // reorder any row's accumulation.
-              EXPECT_EQ(have(i, j), want(i, j))
-                  << to_string(mode) << " chunk " << chunk_rows
-                  << " rank " << rank;
-            }
-          }
-          EXPECT_EQ(
-              plain_stats.rank(rank).phase(Phase::Replication).words_sent,
-              piped_stats.rank(rank).phase(Phase::Replication).words_sent)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
-          // The prepare ranges tile [0, total_rows) exactly once.
-          auto seen = prepared[static_cast<std::size_t>(rank)];
-          std::sort(seen.begin(), seen.end());
-          Index covered = 0;
-          for (const auto& [row0, row1] : seen) {
-            EXPECT_EQ(row0, covered)
-                << to_string(mode) << " chunk " << chunk_rows << " rank "
-                << rank;
-            EXPECT_LT(row0, row1);
-            covered = row1;
-          }
-          EXPECT_EQ(covered, total_rows)
-              << to_string(mode) << " chunk " << chunk_rows << " rank "
-              << rank;
         }
       }
     }
@@ -578,35 +472,6 @@ TEST(ColsBlockWire, PackUnpackWordsStayInLockstep) {
   corrupt.push_back(0);
   EXPECT_THROW(unpack_cols_block(corrupt, kBlockRows, kWidth, support),
                Error);
-}
-
-/// A rank that throws inside a chunk callback mid-pipeline (its peers
-/// still blocked receiving later chunks) must abort the world instead of
-/// deadlocking — the prologue path of the shift loop relies on this.
-TEST(SparseCollectives, ThrowInChunkCallbackAbortsWorld) {
-  const int g = 4;
-  try {
-    run_spmd(g, [&](Comm& comm) {
-      Group group(comm, all_ranks(g));
-      DenseMatrix out;
-      int delivered = 0;
-      group.allgatherv_pipelined(
-          member_block(comm.rank()), /*chunk_rows=*/2,
-          [&](Index, Index) {
-            // Fail after the resident rows, while remote chunks from the
-            // ring are still in flight toward the other members.
-            if (comm.rank() == 1 && ++delivered == 4) {
-              fail("injected failure mid-pipeline");
-            }
-          },
-          out);
-    });
-    FAIL() << "expected the injected failure to propagate";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("mid-pipeline"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(SparseCollectives, AutoDecidesPerRankNotOnGroupTotals) {

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "dist/algorithm.hpp"
@@ -52,16 +54,18 @@ struct Measured {
   std::uint64_t propagation;
 };
 
+/// Measure in each engine's native orientation by default: the model
+/// describes the native data movement (replicate the m-side, shift the
+/// n-side); the other orientation is the same engine on the transposed
+/// problem.
 Measured run_measured(AlgorithmKind kind, Elision elision, int p, int c,
                       const CooMatrix& s, const DenseMatrix& a,
-                      const DenseMatrix& b) {
+                      const DenseMatrix& b,
+                      std::optional<FusedOrientation> oriented = {}) {
   auto algo = make_algorithm(kind, p, c);
-  // Measure in each engine's native orientation: the model describes the
-  // native data movement (replicate the m-side, shift the n-side); the
-  // other orientation is the same engine on the transposed problem.
-  const auto orientation = elision == Elision::LocalKernelFusion
-                               ? FusedOrientation::A
-                               : FusedOrientation::B;
+  const auto orientation = oriented.value_or(
+      elision == Elision::LocalKernelFusion ? FusedOrientation::A
+                                            : FusedOrientation::B);
   const auto result =
       algo->run_fusedmm(orientation, elision, s, a, b, 1);
   return {result.stats.max_words(Phase::Replication),
@@ -154,17 +158,33 @@ TEST(CostModel, DenseRepl25DExactWithHeaders) {
                           static_cast<double>(s.nnz()), p, c};
       const auto expect =
           fusedmm_cost(AlgorithmKind::DenseRepl25D, elision, in);
-      const auto got = run_measured(AlgorithmKind::DenseRepl25D, elision, p,
-                                    c, s, a, b);
       const std::uint64_t headers =
           grid.q() > 1 ? 2 * static_cast<std::uint64_t>(grid.q()) : 0;
-      EXPECT_EQ(got.replication,
-                static_cast<std::uint64_t>(expect.replication_words))
-          << "p=" << p << " c=" << c << " " << to_string(elision);
-      EXPECT_EQ(got.propagation,
-                static_cast<std::uint64_t>(expect.propagation_words) +
-                    headers)
-          << "p=" << p << " c=" << c << " " << to_string(elision);
+      // The model counts the native orientation B: one A gather per
+      // pass, the second elided under ReplicationReuse. Orientation A
+      // always runs two fiber collectives — the SDDMM gather and the
+      // SpMM-A output reduce-scatter, which no elision removes — so on
+      // this square problem it moves exactly the modelled None words.
+      const auto two_collectives =
+          fusedmm_cost(AlgorithmKind::DenseRepl25D, Elision::None, in);
+      for (const auto orientation :
+           {FusedOrientation::A, FusedOrientation::B}) {
+        const auto got = run_measured(AlgorithmKind::DenseRepl25D, elision,
+                                      p, c, s, a, b, orientation);
+        const auto label = "p=" + std::to_string(p) +
+                           " c=" + std::to_string(c) + " " +
+                           to_string(elision) + " " +
+                           to_string(orientation);
+        const double replication = orientation == FusedOrientation::A
+                                       ? two_collectives.replication_words
+                                       : expect.replication_words;
+        EXPECT_EQ(got.replication, static_cast<std::uint64_t>(replication))
+            << label;
+        EXPECT_EQ(got.propagation,
+                  static_cast<std::uint64_t>(expect.propagation_words) +
+                      headers)
+            << label;
+      }
     }
   }
 }
@@ -490,13 +510,10 @@ TEST(ScheduleBounds, OrderedAndConsistentWithTableIII) {
     const auto bounds =
         schedule_bounds(kind, Elision::None, in, m);
     // More overlap can only help: the double-buffered bound hides
-    // propagation behind compute, and the pipelined bound additionally
-    // lets replication hide too, so bsp >= db >= pipelined always
-    // (max(repl+prop, comp) <= repl + max(prop, comp) termwise).
+    // propagation behind compute, so bsp >= db always.
     EXPECT_GT(bounds.bulk_synchronous, 0.0) << to_string(kind);
     EXPECT_LE(bounds.double_buffered, bounds.bulk_synchronous)
         << to_string(kind);
-    EXPECT_LE(bounds.pipelined, bounds.double_buffered) << to_string(kind);
     // Consistency with the Table III decomposition: the bulk-synchronous
     // bound is exactly the sum of the modeled phase terms.
     const auto cost = fusedmm_cost(kind, Elision::None, in);

@@ -381,8 +381,7 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
       EXPECT_LE(rel_diff(reference.output, exact.output), tol)
           << to_string(cfg.kind) << " " << to_string(codec.precision);
       for (const ShiftSchedule schedule :
-           {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous,
-            ShiftSchedule::Pipelined}) {
+           {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous}) {
         for (const ReplicationMode repl :
              {ReplicationMode::Dense, ReplicationMode::Auto}) {
           for (const PropagationMode prop :
@@ -401,11 +400,11 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
   }
 }
 
-/// The pipelined schedule against the serial references: not just
+/// Both schedules against the serial references: not just
 /// schedule-vs-schedule identity (test_overlap pins that) but absolute
-/// correctness of every kernel mode under the streamed replication
-/// prologue, across replication modes and an awkward chunk size.
-TEST(PipelinedSchedule, KernelsMatchReference) {
+/// correctness of every kernel mode across replication and propagation
+/// modes.
+TEST(ScheduleModes, KernelsMatchReference) {
   const auto problem = make_problem(64, 128, 16, /*seed=*/81);
   const auto want_a = reference_spmm_a(problem.s, problem.b);
   const auto want_b = reference_spmm_b(problem.s, problem.a);
@@ -418,50 +417,52 @@ TEST(PipelinedSchedule, KernelsMatchReference) {
       {AlgorithmKind::SparseRepl25D, 8, 2},
   };
   // Propagation compression rides along with each replication mode, so
-  // the sweep also pins the column-support wire paths (and the streamed
-  // reduce-scatter epilogue that SpMMA takes under Pipelined) against
-  // the serial references.
+  // the sweep also pins the column-support wire paths (and the
+  // row-sparse reduce-scatter that SpMMA ends with) against the serial
+  // references.
   const std::pair<ReplicationMode, PropagationMode> mode_pairs[] = {
       {ReplicationMode::Dense, PropagationMode::SparseCols},
       {ReplicationMode::Auto, PropagationMode::Auto},
   };
   for (const auto& cfg : configs) {
     for (const auto& [mode, propagation] : mode_pairs) {
-      AlgorithmOptions options;
-      options.schedule = ShiftSchedule::Pipelined;
-      options.replication = mode;
-      options.propagation = propagation;
-      options.chunk_rows = 5; // misaligned with every block height
-      auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
-      EXPECT_LE(rel_diff(algo->run_kernel(Mode::SpMMA, problem.s,
-                                          problem.a, problem.b)
-                             .dense,
-                         want_a),
-                kTol)
-          << to_string(cfg.kind) << " " << to_string(mode);
-      EXPECT_LE(rel_diff(algo->run_kernel(Mode::SpMMB, problem.s,
-                                          problem.a, problem.b)
-                             .dense,
-                         want_b),
-                kTol)
-          << to_string(cfg.kind) << " " << to_string(mode);
-      const auto sddmm = algo->run_kernel(Mode::SDDMM, problem.s,
-                                          problem.a, problem.b);
-      ASSERT_EQ(sddmm.sddmm_values.size(),
-                static_cast<std::size_t>(want_sddmm.nnz()));
-      for (Index k = 0; k < want_sddmm.nnz(); ++k) {
-        EXPECT_NEAR(sddmm.sddmm_values[static_cast<std::size_t>(k)],
-                    want_sddmm.entry(k).value, kTol)
-            << to_string(cfg.kind) << " " << to_string(mode) << " entry "
-            << k;
+      for (const ShiftSchedule schedule :
+           {ShiftSchedule::BulkSynchronous, ShiftSchedule::DoubleBuffered}) {
+        AlgorithmOptions options;
+        options.schedule = schedule;
+        options.replication = mode;
+        options.propagation = propagation;
+        auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
+        EXPECT_LE(rel_diff(algo->run_kernel(Mode::SpMMA, problem.s,
+                                            problem.a, problem.b)
+                               .dense,
+                           want_a),
+                  kTol)
+            << to_string(cfg.kind) << " " << to_string(mode);
+        EXPECT_LE(rel_diff(algo->run_kernel(Mode::SpMMB, problem.s,
+                                            problem.a, problem.b)
+                               .dense,
+                           want_b),
+                  kTol)
+            << to_string(cfg.kind) << " " << to_string(mode);
+        const auto sddmm = algo->run_kernel(Mode::SDDMM, problem.s,
+                                            problem.a, problem.b);
+        ASSERT_EQ(sddmm.sddmm_values.size(),
+                  static_cast<std::size_t>(want_sddmm.nnz()));
+        for (Index k = 0; k < want_sddmm.nnz(); ++k) {
+          EXPECT_NEAR(sddmm.sddmm_values[static_cast<std::size_t>(k)],
+                      want_sddmm.entry(k).value, kTol)
+              << to_string(cfg.kind) << " " << to_string(mode) << " entry "
+              << k;
+        }
+        EXPECT_LE(rel_diff(algo->run_fusedmm(FusedOrientation::A,
+                                             Elision::None, problem.s,
+                                             problem.a, problem.b)
+                               .output,
+                           want_f),
+                  kTol)
+            << to_string(cfg.kind) << " " << to_string(mode);
       }
-      EXPECT_LE(rel_diff(algo->run_fusedmm(FusedOrientation::A,
-                                           Elision::None, problem.s,
-                                           problem.a, problem.b)
-                             .output,
-                         want_f),
-                kTol)
-          << to_string(cfg.kind) << " " << to_string(mode);
     }
   }
 }

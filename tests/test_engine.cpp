@@ -248,8 +248,7 @@ FuzzCase draw_case(Rng& rng) {
   }
   fc = pick(rng, ops);
   fc.options.schedule = pick<ShiftSchedule>(
-      rng, {ShiftSchedule::BulkSynchronous, ShiftSchedule::DoubleBuffered,
-            ShiftSchedule::Pipelined});
+      rng, {ShiftSchedule::BulkSynchronous, ShiftSchedule::DoubleBuffered});
   fc.options.replication = pick<ReplicationMode>(
       rng, {ReplicationMode::Dense, ReplicationMode::SparseRows,
             ReplicationMode::Auto});

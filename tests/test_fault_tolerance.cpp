@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <string>
@@ -600,48 +601,24 @@ TEST(FaultTolerance, ShrinkConfigFindsLargestValidSmallerGrid) {
   EXPECT_THROW(shrink_config(AlgorithmKind::Baseline1D, 1, 1), Error);
 }
 
-TEST(FaultTolerance, PipelinedAllgatherChunkCrashSweepHealsBitIdentically) {
-  // Under the Pipelined schedule the replication all-gather streams in
-  // chunk messages, each a Replication-phase comm op: crash rank 3 at
-  // every such op in turn and demand bit-identity every time.
-  const Problem pr = make_problem(32, 48, 8, 43);
-  AlgorithmOptions base;
-  base.schedule = ShiftSchedule::Pipelined;
-  base.chunk_rows = 2;
-  const KernelResult clean = run_kernel_opts(
-      AlgorithmKind::DenseRepl25D, 8, 2, Mode::SDDMM, pr, base);
-  ASSERT_FALSE(clean.sddmm_values.empty());
-  int fired = 0;
-  for (int op = 0; op < 12; ++op) {
-    FaultPlan plan;
-    CrashSpec spec;
-    spec.rank = 3;
-    spec.any_phase = false;
-    spec.phase = Phase::Replication;
-    spec.op_index = op;
-    plan.crashes.push_back(spec);
-    AlgorithmOptions options = base;
-    options.faults = &plan;
-    const KernelResult got = run_kernel_opts(
-        AlgorithmKind::DenseRepl25D, 8, 2, Mode::SDDMM, pr, options);
-    EXPECT_EQ(got.sddmm_values, clean.sddmm_values) << "crash=3@repl:" << op;
-    fired += got.stats.recoveries();
-  }
-  // The sweep must actually have crashed inside the chunk stream.
-  EXPECT_GT(fired, 1);
-}
+struct CrashSweep {
+  int ops = 0;            ///< Replication-phase comm ops of the clean run
+  std::vector<int> fired; ///< op indices whose crash fired
+};
 
-TEST(FaultTolerance, PipelinedReduceScatterChunkCrashSweepHealsBitIdentically) {
-  // SpMMA's epilogue streams the reduce-scatter chunk by chunk; sweeping
-  // deeper Replication-phase op indices lands crashes inside it.
+/// Crash rank 3 at every Replication-phase comm op of `mode` on the 2.5D
+/// dense-replicating grid (one op per send or receive of its fiber
+/// collectives) plus one past the last, demanding bit-identity every
+/// time.
+CrashSweep replication_crash_sweep(Mode mode) {
   const Problem pr = make_problem(32, 48, 8, 43);
-  AlgorithmOptions base;
-  base.schedule = ShiftSchedule::Pipelined;
-  base.chunk_rows = 2;
-  const KernelResult clean = run_kernel_opts(
-      AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, base);
-  int fired = 0;
-  for (int op = 0; op < 20; ++op) {
+  const int p = 16, c = 4;
+  const KernelResult clean = run_kernel_opts(AlgorithmKind::DenseRepl25D,
+                                             p, c, mode, pr, {});
+  const PhaseCounters& repl = clean.stats.rank(3).phase(Phase::Replication);
+  CrashSweep sweep;
+  sweep.ops = static_cast<int>(repl.messages_sent + repl.messages_received);
+  for (int op = 0; op <= sweep.ops; ++op) {
     FaultPlan plan;
     CrashSpec spec;
     spec.rank = 3;
@@ -649,15 +626,36 @@ TEST(FaultTolerance, PipelinedReduceScatterChunkCrashSweepHealsBitIdentically) {
     spec.phase = Phase::Replication;
     spec.op_index = op;
     plan.crashes.push_back(spec);
-    AlgorithmOptions options = base;
+    AlgorithmOptions options;
     options.faults = &plan;
-    const KernelResult got = run_kernel_opts(
-        AlgorithmKind::DenseRepl25D, 8, 2, Mode::SpMMA, pr, options);
+    const KernelResult got = run_kernel_opts(AlgorithmKind::DenseRepl25D,
+                                             p, c, mode, pr, options);
     EXPECT_EQ(got.dense.max_abs_diff(clean.dense), 0.0)
         << "crash=3@repl:" << op;
-    fired += got.stats.recoveries();
+    EXPECT_EQ(got.sddmm_values, clean.sddmm_values) << "crash=3@repl:" << op;
+    if (got.stats.recoveries() > 0) sweep.fired.push_back(op);
   }
-  EXPECT_GT(fired, 2);
+  return sweep;
+}
+
+/// Every op of the clean run fired its crash, and the one past it did not.
+void expect_every_op_fired(const CrashSweep& sweep) {
+  std::vector<int> all(static_cast<std::size_t>(sweep.ops));
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_GE(sweep.ops, 4);
+  EXPECT_EQ(sweep.fired, all);
+}
+
+TEST(FaultTolerance, AllgatherCrashSweepHealsBitIdentically) {
+  // SDDMM's Replication phase is the A fiber all-gather: a crash at each
+  // of its sends and receives must heal.
+  expect_every_op_fired(replication_crash_sweep(Mode::SDDMM));
+}
+
+TEST(FaultTolerance, ReduceScatterCrashSweepHealsBitIdentically) {
+  // SpMM-A never gathers A; its Replication phase is the output fiber
+  // reduce-scatter alone.
+  expect_every_op_fired(replication_crash_sweep(Mode::SpMMA));
 }
 
 // ---------------------------------------------------------------------

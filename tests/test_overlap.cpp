@@ -45,99 +45,28 @@ TEST(Overlap, SchedulesAreBitIdentical) {
         FusedOrientation::B, Elision::None, padded.s, padded.a, padded.b);
     const auto spmm_bulk = bulk_algo->run_kernel(Mode::SpMMA, padded.s,
                                                  padded.a, padded.b);
-    for (const auto schedule :
-         {ShiftSchedule::DoubleBuffered, ShiftSchedule::Pipelined}) {
-      AlgorithmOptions overlapped{schedule};
-      auto algo = make_algorithm(kind, p, c, overlapped);
-      const auto fused = algo->run_fusedmm(FusedOrientation::B,
-                                           Elision::None, padded.s,
-                                           padded.a, padded.b);
-      // Bit-identical: the schedules run the same local kernels on the
-      // same blocks in the same order; zero tolerance.
-      EXPECT_EQ(fused_bulk.output.max_abs_diff(fused.output), 0.0)
-          << to_string(kind);
-      for (const Phase phase : {Phase::Replication, Phase::Propagation}) {
-        EXPECT_EQ(fused_bulk.stats.max_words(phase),
-                  fused.stats.max_words(phase))
-            << to_string(kind) << " " << to_string(phase);
-      }
-      const auto spmm = algo->run_kernel(Mode::SpMMA, padded.s, padded.a,
-                                         padded.b);
-      EXPECT_EQ(spmm_bulk.dense.max_abs_diff(spmm.dense), 0.0)
-          << to_string(kind);
+    AlgorithmOptions overlapped{ShiftSchedule::DoubleBuffered};
+    auto algo = make_algorithm(kind, p, c, overlapped);
+    const auto fused = algo->run_fusedmm(FusedOrientation::B, Elision::None,
+                                         padded.s, padded.a, padded.b);
+    // Bit-identical: the schedules run the same local kernels on the
+    // same blocks in the same order; zero tolerance.
+    EXPECT_EQ(fused_bulk.output.max_abs_diff(fused.output), 0.0)
+        << to_string(kind);
+    for (const Phase phase : {Phase::Replication, Phase::Propagation}) {
+      EXPECT_EQ(fused_bulk.stats.max_words(phase),
+                fused.stats.max_words(phase))
+          << to_string(kind) << " " << to_string(phase);
     }
+    const auto spmm = algo->run_kernel(Mode::SpMMA, padded.s, padded.a,
+                                       padded.b);
+    EXPECT_EQ(spmm_bulk.dense.max_abs_diff(spmm.dense), 0.0)
+        << to_string(kind);
   }
 }
 
-/// The acceptance sweep for the pipelined replication prologue: on every
-/// driver family x replication mode x a spread of chunk sizes, the
-/// Pipelined schedule must reproduce the bulk-synchronous outputs bit
-/// for bit with identical replication/propagation word counts — the
-/// chunking moves timing, never words or arithmetic.
-TEST(Overlap, PipelinedBitIdenticalAcrossDriversAndReplicationModes) {
-  const auto raw = make_rmat_problem(96, 48, 16, 2025);
-  struct Config {
-    AlgorithmKind kind;
-    int p;
-    int c;
-  };
-  const std::vector<Config> configs = {
-      {AlgorithmKind::DenseShift15D, 8, 4},
-      {AlgorithmKind::SparseShift15D, 8, 2},
-      {AlgorithmKind::DenseRepl25D, 8, 2},
-      {AlgorithmKind::SparseRepl25D, 8, 2},
-      {AlgorithmKind::Baseline1D, 4, 1},
-  };
-  for (const auto& cfg : configs) {
-    const auto padded =
-        pad_problem(cfg.kind, cfg.p, cfg.c, raw.s, raw.a, raw.b);
-    for (const ReplicationMode mode :
-         {ReplicationMode::Dense, ReplicationMode::SparseRows,
-          ReplicationMode::Auto}) {
-      AlgorithmOptions reference_options;
-      reference_options.schedule = ShiftSchedule::BulkSynchronous;
-      reference_options.replication = mode;
-      auto reference = make_algorithm(cfg.kind, cfg.p, cfg.c,
-                                      reference_options);
-      const auto orientation = cfg.kind == AlgorithmKind::Baseline1D
-                                   ? FusedOrientation::A
-                                   : FusedOrientation::B;
-      const auto want = reference->run_fusedmm(
-          orientation, Elision::None, padded.s, padded.a, padded.b);
-      const auto want_spmm = reference->run_kernel(
-          Mode::SpMMA, padded.s, padded.a, padded.b);
-      // chunk_rows 0 = auto, 1 = per-row streaming, 1 << 20 = one chunk
-      // covering any block (the chunk >= block_rows edge).
-      for (const Index chunk_rows : {Index{0}, Index{1}, Index{1} << 20}) {
-        AlgorithmOptions options;
-        options.schedule = ShiftSchedule::Pipelined;
-        options.replication = mode;
-        options.chunk_rows = chunk_rows;
-        auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
-        const auto fused = algo->run_fusedmm(
-            orientation, Elision::None, padded.s, padded.a, padded.b);
-        EXPECT_EQ(want.output.max_abs_diff(fused.output), 0.0)
-            << to_string(cfg.kind) << " " << to_string(mode)
-            << " chunk_rows=" << chunk_rows;
-        for (const Phase phase :
-             {Phase::Replication, Phase::Propagation}) {
-          EXPECT_EQ(want.stats.max_words(phase),
-                    fused.stats.max_words(phase))
-              << to_string(cfg.kind) << " " << to_string(mode)
-              << " chunk_rows=" << chunk_rows << " " << to_string(phase);
-        }
-        const auto spmm = algo->run_kernel(Mode::SpMMA, padded.s,
-                                           padded.a, padded.b);
-        EXPECT_EQ(want_spmm.dense.max_abs_diff(spmm.dense), 0.0)
-            << to_string(cfg.kind) << " " << to_string(mode)
-            << " chunk_rows=" << chunk_rows;
-      }
-    }
-  }
-}
-
-/// The acceptance cube for the column-support propagation collectives
-/// and the streamed reduce-scatter: on all five drivers, every
+/// The acceptance cube for the schedules and the row- and column-support
+/// collectives: on all five drivers, every
 /// {schedule} x {replication} x {propagation} combination must
 /// reproduce the BSP/Dense/Dense outputs bit for bit. Words move only
 /// where a sparse mode says so: Dense propagation keeps the exact
@@ -172,8 +101,7 @@ TEST(Overlap, ScheduleReplicationPropagationCubeBitIdentical) {
     const auto want_spmm = reference->run_kernel(Mode::SpMMA, padded.s,
                                                  padded.a, padded.b);
     for (const ShiftSchedule schedule :
-         {ShiftSchedule::BulkSynchronous, ShiftSchedule::DoubleBuffered,
-          ShiftSchedule::Pipelined}) {
+         {ShiftSchedule::BulkSynchronous, ShiftSchedule::DoubleBuffered}) {
       for (const ReplicationMode replication :
            {ReplicationMode::Dense, ReplicationMode::SparseRows,
             ReplicationMode::Auto}) {
@@ -191,8 +119,8 @@ TEST(Overlap, ScheduleReplicationPropagationCubeBitIdentical) {
           const auto fused = algo->run_fusedmm(
               orientation, Elision::None, padded.s, padded.a, padded.b);
           EXPECT_EQ(want.output.max_abs_diff(fused.output), 0.0) << label;
-          // SpMM-A exercises the streamed reduce-scatter epilogue and
-          // the compressed read-only channels together.
+          // SpMM-A exercises the row-sparse reduce-scatter and the
+          // compressed read-only channels together.
           const auto spmm = algo->run_kernel(Mode::SpMMA, padded.s,
                                              padded.a, padded.b);
           EXPECT_EQ(want_spmm.dense.max_abs_diff(spmm.dense), 0.0)
@@ -240,7 +168,6 @@ TEST(Overlap, SparsePropagationKernelsBitIdentical) {
          {PropagationMode::SparseCols, PropagationMode::Auto}) {
       AlgorithmOptions options;
       options.propagation = propagation;
-      options.schedule = ShiftSchedule::Pipelined;
       options.replication = ReplicationMode::Auto;
       auto algo = make_algorithm(kind, 8, 2, options);
       for (const Mode mode : {Mode::SpMMB, Mode::SDDMM}) {
@@ -261,10 +188,11 @@ TEST(Overlap, SparsePropagationKernelsBitIdentical) {
   }
 }
 
-/// SDDMM under the pipelined prologue runs its step-0 dots chunk by
-/// chunk; the accumulated values must still be bit-identical to the
-/// bulk-synchronous schedule on every replicating family.
-TEST(Overlap, PipelinedSddmmValuesBitIdentical) {
+/// The SDDMM dots — accumulated in place, or circulating as mutating
+/// payloads — must be bit-identical across the schedules on every
+/// replicating family under the given replication mode.
+void expect_sddmm_values_bit_identical_across_schedules(
+    ReplicationMode replication) {
   const auto raw = make_rmat_problem(64, 128, 8, 78);
   for (const auto kind :
        {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
@@ -272,40 +200,30 @@ TEST(Overlap, PipelinedSddmmValuesBitIdentical) {
     const auto padded = pad_problem(kind, 8, 2, raw.s, raw.a, raw.b);
     AlgorithmOptions bulk_options;
     bulk_options.schedule = ShiftSchedule::BulkSynchronous;
-    bulk_options.replication = ReplicationMode::Auto;
-    AlgorithmOptions pipe_options = bulk_options;
-    pipe_options.schedule = ShiftSchedule::Pipelined;
-    pipe_options.chunk_rows = 3; // deliberately misaligned chunking
+    bulk_options.replication = replication;
+    AlgorithmOptions buffered_options = bulk_options;
+    buffered_options.schedule = ShiftSchedule::DoubleBuffered;
     auto bulk = make_algorithm(kind, 8, 2, bulk_options);
-    auto pipelined = make_algorithm(kind, 8, 2, pipe_options);
+    auto buffered = make_algorithm(kind, 8, 2, buffered_options);
     const auto lhs =
         bulk->run_kernel(Mode::SDDMM, padded.s, padded.a, padded.b);
     const auto rhs =
-        pipelined->run_kernel(Mode::SDDMM, padded.s, padded.a, padded.b);
+        buffered->run_kernel(Mode::SDDMM, padded.s, padded.a, padded.b);
     ASSERT_EQ(lhs.sddmm_values.size(), rhs.sddmm_values.size());
     for (std::size_t k = 0; k < lhs.sddmm_values.size(); ++k) {
       EXPECT_EQ(lhs.sddmm_values[k], rhs.sddmm_values[k])
-          << to_string(kind) << " entry " << k;
+          << to_string(kind) << " " << to_string(replication) << " entry "
+          << k;
     }
   }
 }
 
 TEST(Overlap, SddmmValuesBitIdenticalAcrossSchedules) {
-  const auto raw = make_rmat_problem(64, 128, 8, 77);
-  const auto padded = pad_problem(AlgorithmKind::SparseShift15D, 8, 2,
-                                  raw.s, raw.a, raw.b);
-  auto bulk = make_algorithm(AlgorithmKind::SparseShift15D, 8, 2,
-                             {ShiftSchedule::BulkSynchronous});
-  auto buffered = make_algorithm(AlgorithmKind::SparseShift15D, 8, 2,
-                                 {ShiftSchedule::DoubleBuffered});
-  const auto lhs =
-      bulk->run_kernel(Mode::SDDMM, padded.s, padded.a, padded.b);
-  const auto rhs =
-      buffered->run_kernel(Mode::SDDMM, padded.s, padded.a, padded.b);
-  ASSERT_EQ(lhs.sddmm_values.size(), rhs.sddmm_values.size());
-  for (std::size_t k = 0; k < lhs.sddmm_values.size(); ++k) {
-    EXPECT_EQ(lhs.sddmm_values[k], rhs.sddmm_values[k]) << "entry " << k;
-  }
+  expect_sddmm_values_bit_identical_across_schedules(ReplicationMode::Dense);
+}
+
+TEST(Overlap, SddmmValuesBitIdenticalUnderAutoReplication) {
+  expect_sddmm_values_bit_identical_across_schedules(ReplicationMode::Auto);
 }
 
 /// A rank that throws between its (posted) send and its receive must

@@ -273,9 +273,8 @@ TEST(Collectives, GatherWordsCollectsAtRoot) {
 }
 
 TEST(Stats, NestedPhaseScopesAreExclusive) {
-  // The pipelined replication prologue runs Computation scopes INSIDE a
-  // Replication scope; nesting must pause the outer clock so every
-  // instant lands in exactly one phase. The inner scope burns ~80ms; if
+  // A Computation scope opened INSIDE a Replication scope must pause
+  // the outer clock so every instant lands in exactly one phase. The inner scope burns ~80ms; if
   // the outer scope double-counted it (the old behavior), the outer
   // span would exceed the inner's.
   RankStats stats;

@@ -90,8 +90,7 @@ AlsServerConfig small_server_config(AlgorithmKind kind =
 TEST(Plan, ExecuteMatchesFreshCallsAcrossOptionCube) {
   for (const Config& cfg : kFamilies) {
     for (const ShiftSchedule schedule :
-         {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous,
-          ShiftSchedule::Pipelined}) {
+         {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous}) {
       for (const ReplicationMode replication :
            {ReplicationMode::Dense, ReplicationMode::SparseRows}) {
         for (const PropagationMode propagation :

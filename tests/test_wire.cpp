@@ -3,7 +3,7 @@
 /// adversarial support shapes, corrupt-message rejection (truncation,
 /// trailing garbage, tampered headers), quantization error bounds, the
 /// idempotence the multi-hop rings rely on, and the chunk-invariant
-/// totals the pipelined schedule relies on. These tests also pin the
+/// totals of the row-support messages. These tests also pin the
 /// encode/decode/words triples for dsk_lint's P1 protocol account.
 
 #include <gtest/gtest.h>

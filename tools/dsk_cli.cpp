@@ -72,7 +72,7 @@ constexpr FlagSpec kFlags[] = {
     {"--propagation", "MODE", FlagScope::Common, "dense",
      "dense | sparse | auto: how cyclic shifts move dense B-side blocks"},
     {"--schedule", "NAME", FlagScope::Common, "db",
-     "db | bsp | pipeline: propagation engine (all bit-identical)"},
+     "db | bsp: propagation engine (both bit-identical)"},
     {"--wire-precision", "PREC", FlagScope::Common, "full",
      "full | f32 | bf16: value precision on the wire (lossy below full)"},
     {"--index-codec", "CODEC", FlagScope::Common, "raw",
@@ -96,8 +96,6 @@ constexpr FlagSpec kFlags[] = {
     {"--rmat", "", FlagScope::Kernel, "",
      "generate R-MAT instead of Erdos-Renyi"},
     {"--reps", "N", FlagScope::Kernel, "1", "FusedMM repetitions"},
-    {"--chunk-rows", "N", FlagScope::Kernel, "0",
-     "pipeline-schedule replication chunk rows (0 = auto)"},
     {"--no-verify", "", FlagScope::Kernel, "",
      "skip the serial reference check (large inputs)"},
     {"--users", "N", FlagScope::Serve, "96",
@@ -133,8 +131,6 @@ struct Options {
   Index n = 8192;
   Index d = 8;
   Index r = 32;
-  Index chunk_rows = 0;
-  bool chunk_rows_set = false;
   int checkpoint_interval = 0;
   bool checkpoint_interval_set = false;
   int max_recoveries = 4;
@@ -185,7 +181,7 @@ const char* scope_title(FlagScope scope) {
       "  dsk_cli --op fusedmm-a --algo dense-shift --elision fusion --p 64 "
       "--c 4\n"
       "  dsk_cli --mtx graph.mtx --algo sparse-shift --elision reuse\n"
-      "  dsk_cli --c 8 --schedule pipeline --chunk-rows 64\n"
+      "  dsk_cli --c 8 --schedule bsp\n"
       "  dsk_cli serve --users 96 --items 64 --requests 8 --batch-width "
       "32\n");
   std::exit(0);
@@ -252,10 +248,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--n") opt.n = std::atoll(next());
     else if (arg == "--d") opt.d = std::atoll(next());
     else if (arg == "--r") opt.r = std::atoll(next());
-    else if (arg == "--chunk-rows") {
-      opt.chunk_rows = std::atoll(next());
-      opt.chunk_rows_set = true;
-    }
     else if (arg == "--checkpoint-interval") {
       opt.checkpoint_interval = std::atoi(next());
       opt.checkpoint_interval_set = true;
@@ -332,9 +324,6 @@ ShiftSchedule parse_schedule(const std::string& name) {
   if (name == "bsp" || name == "bulk-synchronous") {
     return ShiftSchedule::BulkSynchronous;
   }
-  if (name == "pipeline" || name == "pipelined") {
-    return ShiftSchedule::Pipelined;
-  }
   usage_and_exit(("unknown schedule " + name).c_str());
 }
 
@@ -346,17 +335,6 @@ AlgorithmOptions validate_common(const Options& opt) {
   algo_options.schedule = parse_schedule(opt.schedule);
   algo_options.wire_precision = parse_wire_precision(opt.wire_precision);
   algo_options.index_codec = parse_index_codec(opt.index_codec);
-  if (opt.chunk_rows_set &&
-      algo_options.schedule != ShiftSchedule::Pipelined) {
-    usage_and_exit(("--chunk-rows only applies to --schedule pipeline "
-                    "(got --schedule " + opt.schedule +
-                    "); refusing to silently ignore it")
-                       .c_str());
-  }
-  if (opt.chunk_rows_set && opt.chunk_rows < 0) {
-    usage_and_exit("--chunk-rows must be a row count (or 0 for auto)");
-  }
-  algo_options.chunk_rows = opt.chunk_rows;
   if (opt.faults.empty() &&
       (opt.checkpoint_interval_set || opt.max_recoveries_set ||
        opt.degrade)) {
@@ -407,11 +385,6 @@ int serve_main(const Options& opt, AlgorithmOptions algo_options) {
       opt.batch_width != 128) {
     usage_and_exit("--batch-width must be one of the kernel sweet spots "
                    "32, 64, or 128");
-  }
-  if (algo_options.schedule == ShiftSchedule::Pipelined) {
-    usage_and_exit("serve mode requires a blocking replication schedule "
-                   "(db or bsp): the pipelined stream bypasses the "
-                   "cross-call replication cache the server relies on");
   }
   if (opt.requests < 1) usage_and_exit("--requests must be >= 1");
   if (opt.top_k < 1) usage_and_exit("--top-k must be >= 1");
