@@ -310,10 +310,9 @@ class SparseRepl25D final : public GridFamily<SparseRepl25D> {
   /// The replication traffic of this family is already sparsity-sized
   /// (values and dot buffers, no dense row blocks): there is no A fiber
   /// to cache, the options().replication knob has nothing to elide
-  /// (SparseRows and Auto behave exactly like Dense). The PROPAGATION
-  /// knob, by contrast, bites twice:
-  /// both circulating dense slices compress against the stationary
-  /// cells' supports (A by rows, B by columns).
+  /// (Auto behaves exactly like Dense). The PROPAGATION knob, by
+  /// contrast, bites twice: both circulating dense slices compress
+  /// against the stationary cells' supports (A by rows, B by columns).
   static constexpr bool kCachesReplication = false;
 
   struct Setup {

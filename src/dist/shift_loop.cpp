@@ -127,7 +127,7 @@ void run_shift_loop(Comm& comm, ShiftSchedule schedule, int steps,
   int loop_id = -1;
   int start_step = 0;
   if (journal != nullptr) {
-    loop_id = journal->begin_loop(comm.rank(), steps);
+    loop_id = journal->begin_loop(comm.rank());
     const int resume = journal->resume_step(comm.rank(), loop_id);
     if (resume >= 0) {
       const auto& snap = journal->snapshot(comm.rank(), loop_id, resume);

@@ -41,7 +41,7 @@ enum class ShiftSchedule {
 };
 
 /// Column-support compression of one circulating dense payload
-/// (PropagationMode::SparseCols / Auto): per hop, only the block rows
+/// (PropagationMode::Auto): per hop, only the block rows
 /// the rest of the ring trip still needs travel, as
 /// [count, cols..., values...] messages (shards.hpp's col_support is
 /// where the lists come from — the rows of a circulating B-side block a
@@ -60,7 +60,7 @@ enum class ShiftSchedule {
 /// arrival, which is what the consumers' kernels (which never read
 /// them) and the final home placement (whose untouched rows are zero in
 /// the true output) expect; outputs are therefore bit-identical to
-/// Dense in every mode. Build with make_ring_compression.
+/// Dense. Build with make_ring_compression.
 struct ShiftCompression {
   PropagationMode mode = PropagationMode::Dense;
   Index block_rows = 0;

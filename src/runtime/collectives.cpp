@@ -28,33 +28,13 @@ void add_scalars(std::span<Scalar> acc, const MessageWords& words) {
 
 } // namespace
 
-// Thin delegates into the wire-codec layer (wire.hpp) — the byte
-// layout, validation, and accounting live there, in one place.
-
-MessageWords pack_cols_block(const MessageWords& dense, Index block_rows,
-                             Index width, std::span<const Index> cols,
-                             const WireCodec& codec) {
-  return encode_cols_block(dense, block_rows, width, cols, codec);
-}
-
-MessageWords unpack_cols_block(const MessageWords& words, Index block_rows,
-                               Index width, std::span<const Index> cols,
-                               const WireCodec& codec) {
-  return decode_cols_block(words, block_rows, width, cols, codec);
-}
-
 bool propagation_hop_is_sparse(PropagationMode mode,
                                std::span<const Index> cols,
                                Index block_rows, Index width,
                                const WireCodec& codec) {
-  switch (mode) {
-    case PropagationMode::Dense: return false;
-    case PropagationMode::SparseCols: return true;
-    case PropagationMode::Auto:
-      return encoded_cols_words(cols, block_rows, width, codec) <
+  return mode == PropagationMode::Auto &&
+         encoded_cols_words(cols, block_rows, width, codec) <
              encoded_dense_words(block_rows, width, codec);
-  }
-  return false;
 }
 
 Group::Group(Comm& comm, std::vector<int> members)
@@ -172,8 +152,8 @@ std::vector<Index> rebase_rows(std::span<const Index> rows, Index base) {
 }
 
 /// Table shape is checked in every mode; the per-list invariants only
-/// when the table will actually drive a plan (explicit Dense never
-/// reads it, and the drivers leave the lists empty in that mode).
+/// when the table can drive a plan (Dense never reads it, and the
+/// drivers leave the lists empty in that mode).
 void validate_support_table(std::span<const std::vector<Index>> wants,
                             int g, Index total_rows, ReplicationMode mode) {
   check(static_cast<int>(wants.size()) == g,
@@ -190,10 +170,6 @@ void validate_support_table(std::span<const std::vector<Index>> wants,
           ")");
   }
 }
-
-} // namespace
-
-namespace {
 
 /// One walk over the (receiver t, sender q) plan matrix: group-total
 /// words and the worst member's sent/received words. Both the public
@@ -243,21 +219,21 @@ std::uint64_t Group::sparse_plan_words(
 
 namespace {
 
-/// Resolve Auto into the plan the whole group agrees on: the inputs are
-/// identical on every member, so so is the choice. Shared by both
-/// collectives so the two directions of a fiber exchange can never
-/// disagree on the crossover rule. The comparison is per-rank, not
-/// group-total: the sparse plan is taken only when its WORST member
-/// (max of sent and received words — the reduce-scatter direction is
-/// the transpose, covered by taking both axes) moves fewer words than
-/// the uniform dense ring cost, so the max-over-ranks replication words
-/// under Auto can never exceed Dense — even for skewed supports
-/// concentrated in one member's row slice.
-ReplicationMode resolve_mode(ReplicationMode mode,
-                             std::span<const std::vector<Index>> wants,
-                             Index block_rows, Index width, int g,
-                             const WireCodec& codec) {
-  if (mode != ReplicationMode::Auto) return mode;
+/// Whether Auto takes the row-sparse plan the whole group agrees on:
+/// the inputs are identical on every member, so so is the choice.
+/// Shared by both collectives so the two directions of a fiber exchange
+/// can never disagree on the crossover rule. The comparison is
+/// per-rank, not group-total: the sparse plan is taken only when its
+/// WORST member (max of sent and received words — the reduce-scatter
+/// direction is the transpose, covered by taking both axes) moves fewer
+/// words than the uniform dense ring cost, so the max-over-ranks
+/// replication words under Auto can never exceed Dense — even for
+/// skewed supports concentrated in one member's row slice.
+bool use_sparse_plan(ReplicationMode mode,
+                     std::span<const std::vector<Index>> wants,
+                     Index block_rows, Index width, int g,
+                     const WireCodec& codec) {
+  if (mode == ReplicationMode::Dense) return false;
   // Both sides of the crossover are ENCODED sizes, so a codec that
   // shrinks the index headers moves the crossover toward higher support
   // densities while Auto stays no worse than Dense per rank.
@@ -265,9 +241,7 @@ ReplicationMode resolve_mode(ReplicationMode mode,
       static_cast<std::uint64_t>(g - 1) *
       encoded_dense_words(block_rows, width, codec);
   return plan_traffic(wants, block_rows, width, codec).worst_rank <
-                 dense_rank_words
-             ? ReplicationMode::SparseRows
-             : ReplicationMode::Dense;
+         dense_rank_words;
 }
 
 } // namespace
@@ -284,10 +258,9 @@ DenseMatrix Group::allgatherv_rows(const DenseMatrix& local,
   DenseMatrix out(static_cast<Index>(g) * block_rows, width);
   // Empty blocks have nothing to ship in any mode.
   if (block_rows == 0) return out;
-  mode = resolve_mode(mode, wants, block_rows, width, g, codec);
   out.place(local, static_cast<Index>(pos_) * block_rows, 0);
   const auto block_words = static_cast<std::size_t>(block_rows * width);
-  if (mode == ReplicationMode::Dense) {
+  if (!use_sparse_plan(mode, wants, block_rows, width, g, codec)) {
     // The ring of allgather_words over row blocks: at step s, forward the
     // block that originated at (pos - s) and receive the block from
     // (pos - s - 1). Blocks are contiguous in the row-major result, so
@@ -369,12 +342,11 @@ DenseMatrix Group::reduce_scatter_rows(
   validate_support_table(wants, g, partial.rows(), mode);
   // Empty chunks have nothing to ship in any mode.
   if (block_rows == 0) return DenseMatrix(0, width);
-  mode = resolve_mode(mode, wants, block_rows, width, g, codec);
   const auto row_chunk = [&](int idx) {
     return partial.row_block(static_cast<Index>(idx) * block_rows,
                              static_cast<Index>(idx + 1) * block_rows);
   };
-  if (mode == ReplicationMode::Dense) {
+  if (!use_sparse_plan(mode, wants, block_rows, width, g, codec)) {
     // The ring of reduce_scatter over row chunks: at step s this member
     // forwards chunk (pos-1-s) — fresh local rows at s=0, the chunk it
     // folded at step s-1 after — and folds the incoming chunk (pos-2-s)

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/types.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/mailbox.hpp"
@@ -125,72 +124,6 @@ class Comm {
   ReliableTransport* transport_ = nullptr;
   StepJournal* journal_ = nullptr;
   int next_loop_id_ = 0;
-};
-
-/// Pack/unpack helpers for messages carrying several arrays (e.g. a COO
-/// block's rows, cols, and values in a single 3*nnz-word message).
-class WordPacker {
- public:
-  template <typename T>
-  WordPacker& put(std::span<const T> data) {
-    static_assert(sizeof(T) == sizeof(std::uint64_t));
-    const std::size_t old = words_.size();
-    // GCC 12 cannot always prove a subspan length non-negative and
-    // flags the memset inside vector::resize with a near-SIZE_MAX bound
-    // (-Wstringop-overflow false positive).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wstringop-overflow"
-#endif
-    words_.resize(old + data.size());
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-    if (!data.empty()) {
-      std::memcpy(words_.data() + old, data.data(),
-                  data.size() * sizeof(T));
-    }
-    return *this;
-  }
-  /// Single header word (e.g. a length prefix).
-  WordPacker& put_count(std::uint64_t value) {
-    words_.push_back(value);
-    return *this;
-  }
-  MessageWords take() { return std::move(words_); }
-
- private:
-  MessageWords words_;
-};
-
-class WordReader {
- public:
-  explicit WordReader(const MessageWords& words) : words_(words) {}
-
-  std::uint64_t take_count() {
-    check(cursor_ < words_.size(), "WordReader: out of data");
-    return words_[cursor_++];
-  }
-
-  template <typename T>
-  std::vector<T> take(std::size_t count) {
-    static_assert(sizeof(T) == sizeof(std::uint64_t));
-    check(cursor_ + count <= words_.size(),
-          "WordReader: requested ", count, " words with ",
-          words_.size() - cursor_, " remaining");
-    std::vector<T> out(count);
-    if (count > 0) {
-      std::memcpy(out.data(), words_.data() + cursor_, count * sizeof(T));
-    }
-    cursor_ += count;
-    return out;
-  }
-
-  bool exhausted() const { return cursor_ == words_.size(); }
-
- private:
-  const MessageWords& words_;
-  std::size_t cursor_ = 0;
 };
 
 } // namespace dsk

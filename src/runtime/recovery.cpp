@@ -9,7 +9,7 @@
 
 namespace dsk {
 
-int StepJournal::begin_loop(int rank, int steps) {
+int StepJournal::begin_loop(int rank) {
   auto& log = ranks_[static_cast<std::size_t>(rank)];
   const int id = log.cursor++;
   if (static_cast<std::size_t>(id) >= log.loops.size()) {
@@ -17,7 +17,6 @@ int StepJournal::begin_loop(int rank, int steps) {
   }
   auto& loop = log.loops[static_cast<std::size_t>(id)];
   loop.started = true;
-  loop.steps = steps;
   return id;
 }
 

@@ -42,7 +42,7 @@ class StepJournal {
 
   /// Called by each rank at the top of every run_shift_loop; returns the
   /// loop id.
-  int begin_loop(int rank, int steps);
+  int begin_loop(int rank);
 
   /// The step to resume AFTER (restore its snapshot, continue at
   /// resume+1), or -1 to execute the loop from the start.
@@ -82,7 +82,6 @@ class StepJournal {
  private:
   struct LoopLog {
     bool started = false;
-    int steps = 0;
     std::vector<Snapshot> done; ///< indexed by step; contiguous prefix
     int last = -1;              ///< last contiguously recorded step
   };

@@ -158,17 +158,38 @@ std::uint64_t varint_words(std::span<const Index> indices) {
   return (varint_bytes(indices) + 7) / 8;
 }
 
-/// Section words under a CONCRETE codec (Auto already resolved).
+/// The concrete index-section encodings. Only `IndexCodec::Auto`'s
+/// per-message minimum selects the gap and bitmap sections; `Raw` is
+/// also what partial row chunks always ride.
+enum class Section {
+  Raw,         ///< one word per index
+  DeltaVarint, ///< LEB128 first index + positive gaps, byte-packed
+  Bitmap,      ///< ceil(block_rows/64)-word membership mask
+};
+
 std::uint64_t index_section_words(std::span<const Index> indices,
-                                 Index block_rows, IndexCodec codec) {
-  switch (codec) {
-    case IndexCodec::Raw: return indices.size();
-    case IndexCodec::DeltaVarint: return varint_words(indices);
-    case IndexCodec::Bitmap: return bitmap_words(block_rows);
-    case IndexCodec::Auto: break;
+                                  Index block_rows, Section section) {
+  switch (section) {
+    case Section::Raw: return indices.size();
+    case Section::DeltaVarint: return varint_words(indices);
+    case Section::Bitmap: return bitmap_words(block_rows);
   }
-  check(false, "wire: index_section_words on unresolved Auto");
   return 0;
+}
+
+/// The section one message's index list rides: Raw on request, else
+/// the smallest encoding, ties resolved Raw < DeltaVarint < Bitmap. A
+/// pure function of (indices, block_rows), so sender and receiver
+/// always agree.
+Section choose_section(std::span<const Index> indices, Index block_rows,
+                       IndexCodec requested) {
+  if (requested == IndexCodec::Raw) return Section::Raw;
+  const std::uint64_t raw = indices.size();
+  const std::uint64_t dv = varint_words(indices);
+  const std::uint64_t bm = bitmap_words(block_rows);
+  if (raw <= dv && raw <= bm) return Section::Raw;
+  if (dv <= bm) return Section::DeltaVarint;
+  return Section::Bitmap;
 }
 
 void check_index_range(std::span<const Index> indices, Index block_rows) {
@@ -179,15 +200,15 @@ void check_index_range(std::span<const Index> indices, Index block_rows) {
 }
 
 void put_index_section(MessageWords& out, std::span<const Index> indices,
-                       Index block_rows, IndexCodec codec) {
+                       Index block_rows, Section section) {
   check_index_range(indices, block_rows);
-  switch (codec) {
-    case IndexCodec::Raw:
+  switch (section) {
+    case Section::Raw:
       for (const Index c : indices) {
         out.push_back(static_cast<std::uint64_t>(c));
       }
       return;
-    case IndexCodec::DeltaVarint: {
+    case Section::DeltaVarint: {
       std::vector<std::uint8_t> bytes;
       bytes.reserve(static_cast<std::size_t>(varint_bytes(indices)));
       for (std::size_t k = 0; k < indices.size(); ++k) {
@@ -207,7 +228,7 @@ void put_index_section(MessageWords& out, std::span<const Index> indices,
       }
       return;
     }
-    case IndexCodec::Bitmap: {
+    case Section::Bitmap: {
       const std::size_t old = out.size();
       out.resize(old + static_cast<std::size_t>(bitmap_words(block_rows)),
                  0);
@@ -217,31 +238,29 @@ void put_index_section(MessageWords& out, std::span<const Index> indices,
       }
       return;
     }
-    case IndexCodec::Auto: break;
   }
-  check(false, "wire: put_index_section on unresolved Auto");
 }
 
 /// Validate that the section at `cursor` encodes exactly `expected`
-/// under the concrete `codec`; advances the cursor past it. Every index,
+/// under `section`; advances the cursor past it. Every index,
 /// the stream length, and (for the byte codecs) the padding are checked,
 /// so a truncated or tampered section is a structured error.
 void take_index_section(const MessageWords& words, std::size_t& cursor,
                         std::span<const Index> expected, Index block_rows,
-                        IndexCodec codec) {
+                        Section section) {
   const auto need = static_cast<std::size_t>(
-      index_section_words(expected, block_rows, codec));
+      index_section_words(expected, block_rows, section));
   check(cursor + need <= words.size(),
         "wire: truncated index section (", words.size() - cursor,
         " words left, section needs ", need, ")");
-  switch (codec) {
-    case IndexCodec::Raw:
+  switch (section) {
+    case Section::Raw:
       for (std::size_t k = 0; k < expected.size(); ++k) {
         check(static_cast<Index>(words[cursor + k]) == expected[k],
               "wire: row mismatch against the support table");
       }
       break;
-    case IndexCodec::DeltaVarint: {
+    case Section::DeltaVarint: {
       const std::uint8_t* bytes =
           reinterpret_cast<const std::uint8_t*>(words.data() + cursor);
       const std::size_t nbytes = need * 8;
@@ -268,7 +287,7 @@ void take_index_section(const MessageWords& words, std::size_t& cursor,
       }
       break;
     }
-    case IndexCodec::Bitmap: {
+    case Section::Bitmap: {
       std::size_t k = 0;
       for (Index c = 0; c < block_rows; ++c) {
         const bool set =
@@ -290,8 +309,6 @@ void take_index_section(const MessageWords& words, std::size_t& cursor,
       }
       break;
     }
-    case IndexCodec::Auto:
-      check(false, "wire: take_index_section on unresolved Auto");
   }
   cursor += need;
 }
@@ -304,21 +321,10 @@ std::uint64_t row_values_words(std::int64_t rows, Index width,
 
 } // namespace
 
-IndexCodec choose_index_codec(std::span<const Index> indices,
-                              Index block_rows, IndexCodec requested) {
-  if (requested != IndexCodec::Auto) return requested;
-  const std::uint64_t raw = indices.size();
-  const std::uint64_t dv = varint_words(indices);
-  const std::uint64_t bm = bitmap_words(block_rows);
-  if (raw <= dv && raw <= bm) return IndexCodec::Raw;
-  if (dv <= bm) return IndexCodec::DeltaVarint;
-  return IndexCodec::Bitmap;
-}
-
 std::uint64_t encoded_index_words(std::span<const Index> indices,
                                   Index block_rows, IndexCodec codec) {
   return index_section_words(
-      indices, block_rows, choose_index_codec(indices, block_rows, codec));
+      indices, block_rows, choose_section(indices, block_rows, codec));
 }
 
 std::uint64_t encoded_values_words(std::int64_t count,
@@ -462,8 +468,8 @@ MessageWords encode_cols_block(const MessageWords& image, Index block_rows,
                             static_cast<std::size_t>(width),
         "encode_cols_block: payload has ", image.size(),
         " words, expected ", block_rows, " x ", width);
-  const IndexCodec section =
-      choose_index_codec(cols, block_rows, codec.index_codec);
+  const Section section =
+      choose_section(cols, block_rows, codec.index_codec);
   MessageWords out;
   out.reserve(static_cast<std::size_t>(
       std::max<std::uint64_t>(
@@ -494,8 +500,7 @@ MessageWords decode_cols_block(const MessageWords& words, Index block_rows,
   check(count == cols.size(), "decode_cols_block: message carries ", count,
         " rows, support expects ", cols.size());
   take_index_section(words, cursor, cols, block_rows,
-                     choose_index_codec(cols, block_rows,
-                                        codec.index_codec));
+                     choose_section(cols, block_rows, codec.index_codec));
   std::vector<Scalar> row(static_cast<std::size_t>(width));
   for (const Index c : cols) {
     take_row(words, cursor, row.data(), width, codec.precision);
@@ -511,15 +516,15 @@ MessageWords decode_cols_block(const MessageWords& words, Index block_rows,
 
 namespace {
 
-/// Index codec for chunk [k0, k1) of `rows`: the requested codec only
-/// when the chunk is the whole support (both endpoints see the same
-/// bounds, so they agree); partial chunks always ride Raw — gap and
-/// bitmap sections do not split at arbitrary boundaries.
-IndexCodec chunk_index_codec(std::span<const Index> rows, std::size_t k0,
-                             std::size_t k1, Index block_rows,
-                             IndexCodec requested) {
-  if (k0 != 0 || k1 != rows.size()) return IndexCodec::Raw;
-  return choose_index_codec(rows, block_rows, requested);
+/// Index section for chunk [k0, k1) of `rows`: the requested codec's
+/// choice only when the chunk is the whole support (both endpoints see
+/// the same bounds, so they agree); partial chunks always ride Raw —
+/// gap and bitmap sections do not split at arbitrary boundaries.
+Section chunk_section(std::span<const Index> rows, std::size_t k0,
+                      std::size_t k1, Index block_rows,
+                      IndexCodec requested) {
+  if (k0 != 0 || k1 != rows.size()) return Section::Raw;
+  return choose_section(rows, block_rows, requested);
 }
 
 } // namespace
@@ -530,8 +535,8 @@ std::uint64_t encoded_rows_chunk_words(std::span<const Index> rows,
                                        const WireCodec& codec) {
   check(k0 <= k1 && k1 <= rows.size(), "encoded_rows_chunk_words: chunk [",
         k0, ", ", k1, ") outside support of ", rows.size());
-  const IndexCodec section =
-      chunk_index_codec(rows, k0, k1, block_rows, codec.index_codec);
+  const Section section =
+      chunk_section(rows, k0, k1, block_rows, codec.index_codec);
   return (k0 == 0 ? 1 : 0) +
          index_section_words(rows.subspan(k0, k1 - k0), block_rows,
                              section) +
@@ -556,8 +561,8 @@ MessageWords encode_rows_chunk(std::span<const Index> rows, std::size_t k0,
   check(values.size() == (k1 - k0) * static_cast<std::size_t>(width),
         "encode_rows_chunk: ", values.size(), " values do not fill ",
         k1 - k0, " rows of width ", width);
-  const IndexCodec section =
-      chunk_index_codec(rows, k0, k1, block_rows, codec.index_codec);
+  const Section section =
+      chunk_section(rows, k0, k1, block_rows, codec.index_codec);
   MessageWords out;
   out.reserve(static_cast<std::size_t>(
       encoded_rows_chunk_words(rows, k0, k1, block_rows, width, codec)));
@@ -587,7 +592,7 @@ std::vector<Scalar> decode_rows_chunk(const MessageWords& words,
   }
   take_index_section(
       words, cursor, rows.subspan(k0, k1 - k0), block_rows,
-      chunk_index_codec(rows, k0, k1, block_rows, codec.index_codec));
+      chunk_section(rows, k0, k1, block_rows, codec.index_codec));
   std::vector<Scalar> values((k1 - k0) * static_cast<std::size_t>(width));
   for (std::size_t k = k0; k < k1; ++k) {
     take_row(words, cursor,

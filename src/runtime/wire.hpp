@@ -23,13 +23,15 @@
 ///    in full precision. Quantization is idempotent — re-encoding an
 ///    already-quantized value is exact — so forwarding an unmodified
 ///    block along a multi-hop ring does not compound the error.
-///  - `IndexCodec::DeltaVarint` / `Bitmap` re-encode the sorted support
-///    index section; `Auto` picks the smallest per message (ties
-///    resolved Raw < DeltaVarint < Bitmap), so Auto never exceeds Raw.
-///    Both endpoints resolve the choice from the shared support tables —
-///    no descriptor word travels. Multi-chunk row messages (a chunk that
-///    is not the whole support) always use Raw indices; both ends see
-///    the same `[k0, k1)` bounds, so the formats agree.
+///  - `IndexCodec::Auto` re-encodes each sorted support index section
+///    as the smallest of Raw, LEB128-coded gaps (delta-varint) and a
+///    membership bitmap (ties resolved in that order), so Auto never
+///    exceeds Raw. The gap and bitmap sections are private to wire.cpp;
+///    nothing can request them directly. Both endpoints resolve the
+///    choice from the shared support tables — no descriptor word
+///    travels. Multi-chunk row messages (a chunk that is not the whole
+///    support) always use Raw indices; both ends see the same `[k0, k1)`
+///    bounds, so the formats agree.
 ///
 /// Decoders validate everything against the expected support: count
 /// headers, every index, exact payload length (truncated or
@@ -54,15 +56,9 @@ struct WireTriplets {
 
 // --- index sections (sorted, distinct, block-local support lists) ------
 
-/// Resolve `Auto` to a concrete index codec for one message: the
-/// smallest encoding of `indices` against a `block_rows`-row block,
-/// ties resolved Raw < DeltaVarint < Bitmap. Non-Auto requests pass
-/// through. Pure function of (indices, block_rows), so sender and
-/// receiver always agree.
-IndexCodec choose_index_codec(std::span<const Index> indices,
-                              Index block_rows, IndexCodec requested);
-
-/// Words of the index section alone under a concrete (or Auto) codec.
+/// Words of the index section alone: one per index under Raw, the
+/// smallest section encoding of `indices` against a `block_rows`-row
+/// block under Auto.
 std::uint64_t encoded_index_words(std::span<const Index> indices,
                                   Index block_rows, IndexCodec codec);
 

@@ -1,7 +1,7 @@
-# Runs dsk_cli in one mode (kernel or serve) and checks that the removed
-# pipeline schedule and its --chunk-rows flag are usage errors (exit 2):
-# `--schedule pipeline` is an unknown schedule and `--chunk-rows` an
-# unknown option.
+# Runs dsk_cli in one mode (kernel or serve) and checks that removed
+# flags and values are usage errors (exit 2): the pipeline schedule and
+# its --chunk-rows flag, and the forced sparse traffic modes and index
+# codecs that Auto replaced, whose errors must name the accepted values.
 #
 #   cmake -DDSK_CLI=path/to/dsk_cli -DMODE=kernel|serve \
 #         -P tests/cli_rejects_removed_flags.cmake
@@ -32,3 +32,11 @@ endfunction()
 expect_usage_error("unknown schedule pipeline" --schedule pipeline)
 expect_usage_error("unknown schedule pipelined" --schedule pipelined)
 expect_usage_error("unknown option --chunk-rows" --chunk-rows 8)
+expect_usage_error("unknown replication mode sparse (dense | auto)"
+                   --replication sparse)
+expect_usage_error("unknown propagation mode sparse (dense | auto)"
+                   --propagation sparse)
+expect_usage_error("unknown index codec delta-varint (raw | auto)"
+                   --index-codec delta-varint)
+expect_usage_error("unknown index codec bitmap (raw | auto)"
+                   --index-codec bitmap)

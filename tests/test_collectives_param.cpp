@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "dist/shards.hpp"
 #include "runtime/collectives.hpp"
+#include "runtime/wire.hpp"
 #include "runtime/world.hpp"
 
 namespace dsk {
@@ -160,6 +161,26 @@ std::vector<std::vector<Index>> make_wants(Support regime, int g,
 constexpr Index kBlockRows = 6;
 constexpr Index kWidth = 3;
 
+/// Whether Auto takes the row-sparse plan: a Full support ships
+/// 1 + 6*(1 + 3) = 25 words per pair, above the 18-word dense block; the
+/// Empty and SingleRow supports undercut it on every member.
+bool auto_takes_sparse(Support regime) { return regime != Support::Full; }
+
+/// The column-support message closed form under the default codec: a
+/// count header plus, per supported row, its index word and values —
+/// and nothing at all for an empty support (the hop is skipped).
+std::uint64_t cols_message_words(std::size_t count) {
+  if (count == 0) return 0;
+  return 1 + static_cast<std::uint64_t>(count) * (1 + kWidth);
+}
+
+/// Auto's per-hop rule on this block shape: compress when the message
+/// undercuts the dense block.
+bool cols_hop_is_sparse(std::size_t count) {
+  return cols_message_words(count) <
+         static_cast<std::uint64_t>(kBlockRows) * kWidth;
+}
+
 DenseMatrix member_block(int member) {
   DenseMatrix block(kBlockRows, kWidth);
   Rng rng(700 + static_cast<unsigned>(member));
@@ -178,8 +199,9 @@ TEST_P(CollectiveSweep, AllgathervRowsDeliversSupportedRowsExactly) {
        {Support::Empty, Support::SingleRow, Support::Full}) {
     const auto wants = make_wants(regime, g, total_rows);
     for (const ReplicationMode mode :
-         {ReplicationMode::Dense, ReplicationMode::SparseRows,
-          ReplicationMode::Auto}) {
+         {ReplicationMode::Dense, ReplicationMode::Auto}) {
+      const bool sparse =
+          mode == ReplicationMode::Auto && auto_takes_sparse(regime);
       run_spmd(g, [&](Comm& comm) {
         Group group(comm, all_ranks(g));
         const auto out =
@@ -193,7 +215,7 @@ TEST_P(CollectiveSweep, AllgathervRowsDeliversSupportedRowsExactly) {
         // always arrives whole, free of charge.
         for (Index row = 0; row < total_rows; ++row) {
           const bool delivered =
-              mode == ReplicationMode::Dense ||
+              !sparse ||
               (own0 <= row && row < own0 + kBlockRows) ||
               std::binary_search(mine.begin(), mine.end(), row);
           for (Index j = 0; j < kWidth; ++j) {
@@ -250,12 +272,17 @@ TEST_P(CollectiveSweep, AllgathervRowsWordCountsMatchThePlan) {
     EXPECT_EQ(total_words(ReplicationMode::Dense), dense_words);
     EXPECT_EQ(messages, static_cast<std::uint64_t>(g) *
                             static_cast<std::uint64_t>(g - 1));
-    EXPECT_EQ(total_words(ReplicationMode::SparseRows), plan_words);
-    EXPECT_EQ(messages, plan_messages);
     // Auto decides on the plan's worst member, not group totals (see
     // AutoDecidesPerRankNotOnGroupTotals); the guaranteed property is
     // that it never moves more words than the dense ring.
-    EXPECT_LE(total_words(ReplicationMode::Auto), dense_words);
+    const std::uint64_t auto_words = total_words(ReplicationMode::Auto);
+    EXPECT_LE(auto_words, dense_words);
+    if (auto_takes_sparse(regime)) {
+      EXPECT_EQ(auto_words, plan_words);
+      EXPECT_EQ(messages, plan_messages);
+    } else {
+      EXPECT_EQ(auto_words, dense_words);
+    }
   }
 }
 
@@ -319,24 +346,19 @@ TEST_P(CollectiveSweep, ReduceScatterRowsBitIdenticalToDense) {
         }
       }
     }
-    const auto sparse = run_mode(ReplicationMode::SparseRows);
-    EXPECT_EQ(words, Group::sparse_plan_words(wants, kBlockRows, kWidth));
-    for (const ReplicationMode mode :
-         {ReplicationMode::SparseRows, ReplicationMode::Auto}) {
-      const auto got = mode == ReplicationMode::SparseRows
-                           ? sparse
-                           : run_mode(mode);
-      for (int rank = 0; rank < g; ++rank) {
-        const auto& want = dense[static_cast<std::size_t>(rank)];
-        const auto& have = got[static_cast<std::size_t>(rank)];
-        ASSERT_EQ(have.rows(), want.rows());
-        for (Index i = 0; i < want.rows(); ++i) {
-          for (Index j = 0; j < want.cols(); ++j) {
-            // Bit-identical, not merely close: the sparse fold follows
-            // the dense ring's accumulation order.
-            EXPECT_EQ(have(i, j), want(i, j))
-                << to_string(mode) << " rank " << rank;
-          }
+    const auto got = run_mode(ReplicationMode::Auto);
+    if (auto_takes_sparse(regime)) {
+      EXPECT_EQ(words, Group::sparse_plan_words(wants, kBlockRows, kWidth));
+    }
+    for (int rank = 0; rank < g; ++rank) {
+      const auto& want = dense[static_cast<std::size_t>(rank)];
+      const auto& have = got[static_cast<std::size_t>(rank)];
+      ASSERT_EQ(have.rows(), want.rows());
+      for (Index i = 0; i < want.rows(); ++i) {
+        for (Index j = 0; j < want.cols(); ++j) {
+          // Bit-identical, not merely close: the sparse fold follows
+          // the dense ring's accumulation order.
+          EXPECT_EQ(have(i, j), want(i, j)) << "rank " << rank;
         }
       }
     }
@@ -357,8 +379,7 @@ TEST_P(CollectiveSweep, SendrecvColsDeliversSupportAndPinsWords) {
        {Support::Empty, Support::SingleRow, Support::Full}) {
     const auto hop_rows = make_wants(regime, g, kBlockRows);
     for (const PropagationMode mode :
-         {PropagationMode::Dense, PropagationMode::SparseCols,
-          PropagationMode::Auto}) {
+         {PropagationMode::Dense, PropagationMode::Auto}) {
       auto stats = run_spmd(g, [&](Comm& comm) {
         PhaseScope scope(comm.stats(), Phase::Propagation);
         Group group(comm, all_ranks(g));
@@ -376,9 +397,7 @@ TEST_P(CollectiveSweep, SendrecvColsDeliversSupportAndPinsWords) {
         std::vector<char> on_support(static_cast<std::size_t>(kBlockRows),
                                      0);
         if (mode == PropagationMode::Dense ||
-            (mode == PropagationMode::Auto &&
-             !sparse_cols_hop_wins(recv_rows.size(), kBlockRows,
-                                   kWidth))) {
+            !cols_hop_is_sparse(recv_rows.size())) {
           std::fill(on_support.begin(), on_support.end(), 1);
         } else {
           for (const Index row : recv_rows) {
@@ -402,39 +421,36 @@ TEST_P(CollectiveSweep, SendrecvColsDeliversSupportAndPinsWords) {
         const auto& rows = hop_rows[static_cast<std::size_t>(
             (rank - 1 + g) % g)]; // what this rank SENDS
         std::uint64_t want_words = dense_hop_words;
-        if (mode == PropagationMode::SparseCols ||
-            (mode == PropagationMode::Auto &&
-             sparse_cols_hop_wins(rows.size(), kBlockRows, kWidth))) {
-          want_words = sparse_cols_words(rows.size(), kWidth);
+        if (mode == PropagationMode::Auto &&
+            cols_hop_is_sparse(rows.size())) {
+          want_words = cols_message_words(rows.size());
         }
         EXPECT_EQ(stats.rank(rank).phase(Phase::Propagation).words_sent,
                   want_words)
             << to_string(mode) << " rank " << rank;
-        // The enforced invariant behind Auto: never more than dense
-        // (explicit SparseCols, like SparseRows, may exceed it — a full
-        // support costs the extra index words).
-        if (mode != PropagationMode::SparseCols) {
-          EXPECT_LE(stats.rank(rank).phase(Phase::Propagation).words_sent,
-                    dense_hop_words);
-        }
+        // The enforced invariant behind Auto: never more than dense.
+        EXPECT_LE(stats.rank(rank).phase(Phase::Propagation).words_sent,
+                  dense_hop_words);
       }
     }
   }
 }
 
-/// The cols-block wire triple directly: pack produces exactly
-/// sparse_cols_words words, unpack restores the dense payload with
-/// zeros off-support, and the empty support ships nothing — the
-/// pack/unpack/words lockstep dsk_lint's P1 check requires a test to
-/// pin.
+/// The cols-block wire triple directly: encode produces exactly the
+/// closed-form words (and encoded_cols_words agrees), decode restores
+/// the dense payload with zeros off-support, and the empty support
+/// ships nothing — the encode/decode/words lockstep dsk_lint's P1
+/// check requires a test to pin.
 TEST(ColsBlockWire, PackUnpackWordsStayInLockstep) {
   const auto dense = pack_dense(member_block(3));
   const std::vector<Index> support = {0, 2, 5};
   const auto packed =
-      pack_cols_block(dense, kBlockRows, kWidth, support);
-  EXPECT_EQ(packed.size(), sparse_cols_words(support.size(), kWidth));
-  const auto restored =
-      unpack_cols_block(packed, kBlockRows, kWidth, support);
+      encode_cols_block(dense, kBlockRows, kWidth, support, WireCodec{});
+  EXPECT_EQ(packed.size(), cols_message_words(support.size()));
+  EXPECT_EQ(encoded_cols_words(support, kBlockRows, kWidth, WireCodec{}),
+            cols_message_words(support.size()));
+  const auto restored = decode_cols_block(packed, kBlockRows, kWidth,
+                                          support, WireCodec{});
   const auto want = member_block(3);
   const auto got = unpack_dense(restored, kBlockRows, kWidth);
   std::vector<char> on_support(static_cast<std::size_t>(kBlockRows), 0);
@@ -450,28 +466,31 @@ TEST(ColsBlockWire, PackUnpackWordsStayInLockstep) {
     }
   }
 
-  // Empty support: the packer still emits its count header, but the
+  // Empty support: the encoder still emits its count header, but the
   // wire cost is zero because every caller skips the hop outright —
-  // which is exactly what sparse_cols_words(0, w) == 0 accounts for.
+  // which is exactly what encoded_cols_words(empty) == 0 accounts for.
   const std::vector<Index> empty;
-  const auto empty_packed = pack_cols_block(dense, kBlockRows, kWidth, empty);
+  const auto empty_packed =
+      encode_cols_block(dense, kBlockRows, kWidth, empty, WireCodec{});
   EXPECT_EQ(empty_packed.size(), 1u);
   EXPECT_EQ(empty_packed.front(), 0u);
-  EXPECT_EQ(sparse_cols_words(0, kWidth), 0u);
-  const auto empty_restored =
-      unpack_cols_block(empty_packed, kBlockRows, kWidth, empty);
+  EXPECT_EQ(encoded_cols_words(empty, kBlockRows, kWidth, WireCodec{}), 0u);
+  const auto empty_restored = decode_cols_block(
+      empty_packed, kBlockRows, kWidth, empty, WireCodec{});
   EXPECT_TRUE(std::all_of(empty_restored.begin(), empty_restored.end(),
                           [](std::uint64_t w) { return w == 0; }));
 
   // Truncated and trailing-garbage messages are rejected.
   auto corrupt = packed;
   corrupt.pop_back();
-  EXPECT_THROW(unpack_cols_block(corrupt, kBlockRows, kWidth, support),
-               Error);
+  EXPECT_THROW(
+      decode_cols_block(corrupt, kBlockRows, kWidth, support, WireCodec{}),
+      Error);
   corrupt = packed;
   corrupt.push_back(0);
-  EXPECT_THROW(unpack_cols_block(corrupt, kBlockRows, kWidth, support),
-               Error);
+  EXPECT_THROW(
+      decode_cols_block(corrupt, kBlockRows, kWidth, support, WireCodec{}),
+      Error);
 }
 
 TEST(SparseCollectives, AutoDecidesPerRankNotOnGroupTotals) {

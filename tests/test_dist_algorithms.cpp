@@ -317,24 +317,19 @@ TEST(ReplicationModes, BitIdenticalOutputsAcrossAllDrivers) {
       return std::pair(std::move(kernels), std::move(fused));
     };
     const auto dense = run_mode(ReplicationMode::Dense);
-    for (const ReplicationMode mode :
-         {ReplicationMode::SparseRows, ReplicationMode::Auto}) {
-      const auto got = run_mode(mode);
-      ASSERT_EQ(got.first.size(), dense.first.size());
-      for (std::size_t k = 0; k < dense.first.size(); ++k) {
-        EXPECT_TRUE(
-            bit_identical(got.first[k].dense, dense.first[k].dense))
-            << to_string(cfg.kind) << " " << to_string(mode);
-        EXPECT_EQ(got.first[k].sddmm_values, dense.first[k].sddmm_values)
-            << to_string(cfg.kind) << " " << to_string(mode);
-      }
-      ASSERT_EQ(got.second.size(), dense.second.size());
-      for (std::size_t k = 0; k < dense.second.size(); ++k) {
-        EXPECT_TRUE(
-            bit_identical(got.second[k].output, dense.second[k].output))
-            << to_string(cfg.kind) << " " << to_string(mode)
-            << " fused case " << k;
-      }
+    const auto got = run_mode(ReplicationMode::Auto);
+    ASSERT_EQ(got.first.size(), dense.first.size());
+    for (std::size_t k = 0; k < dense.first.size(); ++k) {
+      EXPECT_TRUE(bit_identical(got.first[k].dense, dense.first[k].dense))
+          << to_string(cfg.kind);
+      EXPECT_EQ(got.first[k].sddmm_values, dense.first[k].sddmm_values)
+          << to_string(cfg.kind);
+    }
+    ASSERT_EQ(got.second.size(), dense.second.size());
+    for (std::size_t k = 0; k < dense.second.size(); ++k) {
+      EXPECT_TRUE(
+          bit_identical(got.second[k].output, dense.second[k].output))
+          << to_string(cfg.kind) << " fused case " << k;
     }
   }
 }
@@ -345,7 +340,9 @@ TEST(ReplicationModes, BitIdenticalOutputsAcrossAllDrivers) {
 /// decoded values (quantization is per value and idempotent, so
 /// chunking, re-forwarding, and the sparse/dense crossovers all see
 /// the same payloads). The lossy codecs must also stay within their
-/// quantization error bounds of the exact default-codec output.
+/// quantization error bounds of the exact default-codec output. The
+/// cube must contain cells where Auto moves fewer words than Dense, or
+/// it would not cover the sparse wire paths.
 TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
   const auto problem = make_rmat_problem(128, 128, 32, 256, 7071);
   const std::vector<Config> configs = {
@@ -356,9 +353,14 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
   };
   const std::pair<WireCodec, Scalar> codec_cases[] = {
       {WireCodec{WirePrecision::Full, IndexCodec::Auto}, kTol},
-      {WireCodec{WirePrecision::F32, IndexCodec::DeltaVarint}, 1e-4},
-      {WireCodec{WirePrecision::BF16, IndexCodec::Bitmap}, 5e-2},
+      {WireCodec{WirePrecision::F32, IndexCodec::Raw}, 1e-4},
+      {WireCodec{WirePrecision::BF16, IndexCodec::Auto}, 5e-2},
   };
+  const auto comm_words = [](const FusedResult& result) {
+    return result.stats.max_words(Phase::Replication) +
+           result.stats.max_words(Phase::Propagation);
+  };
+  int auto_cheaper = 0;
   for (const auto& cfg : configs) {
     const auto run = [&](const WireCodec& codec, ShiftSchedule schedule,
                          ReplicationMode repl, PropagationMode prop) {
@@ -393,11 +395,13 @@ TEST(WireCodecCube, BitIdenticalAcrossTransportChoicesPerCodec) {
                 << to_string(codec.index_codec) << " schedule "
                 << static_cast<int>(schedule) << " " << to_string(repl)
                 << " " << to_string(prop);
+            auto_cheaper += comm_words(got) < comm_words(reference);
           }
         }
       }
     }
   }
+  EXPECT_GT(auto_cheaper, 0);
 }
 
 /// Both schedules against the serial references: not just
@@ -421,7 +425,7 @@ TEST(ScheduleModes, KernelsMatchReference) {
   // row-sparse reduce-scatter that SpMMA ends with) against the serial
   // references.
   const std::pair<ReplicationMode, PropagationMode> mode_pairs[] = {
-      {ReplicationMode::Dense, PropagationMode::SparseCols},
+      {ReplicationMode::Dense, PropagationMode::Auto},
       {ReplicationMode::Auto, PropagationMode::Auto},
   };
   for (const auto& cfg : configs) {
@@ -497,30 +501,111 @@ TEST(ReplicationModes, AutoNeverMovesMoreReplicationWordsThanDense) {
   }
 }
 
-TEST(ReplicationModes, SparseRowsStrictlyCheaperOnPowerLawInstance) {
-  // The acceptance instance: an R-MAT pattern leaves a large fraction of
-  // each working block's rows untouched, so shipping only the support
-  // must move strictly fewer replication words than the dense fibers —
-  // for every family with dense fiber collectives.
+/// Auto must keep reaching every sparse wire path it replaced a forced
+/// mode for. On a power-law instance (most working-block rows and
+/// circulating-block rows untouched), 1.5D dense shifting at p = 8,
+/// c = 2 (a 4-step ring of n/p x r blocks) takes each path on some rank,
+/// strictly below what Dense moves there, with outputs bit-identical to
+/// Dense:
+///  - SDDMM gathers A: the row-sparse all-gather;
+///  - SpMM-A reduce-scatters its output: the row-sparse reduce-scatter;
+///  - SpMM-A circulates read-only B blocks: a non-empty column-support
+///    hop (fewer words than whole blocks per message) and the skipped
+///    homeward hop (fewer messages);
+///  - SpMM-B circulates B-shaped accumulators: a non-empty
+///    column-support accumulator hop.
+/// FusedMM-A's fiber collectives also go row-sparse on every family
+/// that has dense ones.
+TEST(AutoModes, ReachEverySparsePathStrictlyCheaperAndBitIdentical) {
   const auto problem = make_rmat_problem(128, 128, 32, 256, 2028);
-  const std::vector<Config> configs = {
-      {AlgorithmKind::DenseShift15D, 8, 2},
-      {AlgorithmKind::SparseShift15D, 8, 2},
-      {AlgorithmKind::DenseRepl25D, 8, 2},
-  };
-  for (const auto& cfg : configs) {
-    const auto words = [&](ReplicationMode mode) {
+  for (const auto kind :
+       {AlgorithmKind::DenseShift15D, AlgorithmKind::SparseShift15D,
+        AlgorithmKind::DenseRepl25D}) {
+    const auto fused = [&](ReplicationMode replication) {
       AlgorithmOptions options;
-      options.replication = mode;
-      auto algo = make_algorithm(cfg.kind, cfg.p, cfg.c, options);
-      const auto result =
-          algo->run_fusedmm(FusedOrientation::A, Elision::None, problem.s,
-                            problem.a, problem.b);
-      return result.stats.max_words(Phase::Replication);
+      options.replication = replication;
+      auto algo = make_algorithm(kind, 8, 2, options);
+      return algo->run_fusedmm(FusedOrientation::A, Elision::None,
+                               problem.s, problem.a, problem.b);
     };
-    EXPECT_LT(words(ReplicationMode::SparseRows),
-              words(ReplicationMode::Dense))
-        << to_string(cfg.kind);
+    const auto dense = fused(ReplicationMode::Dense);
+    const auto sparse = fused(ReplicationMode::Auto);
+    EXPECT_LT(sparse.stats.max_words(Phase::Replication),
+              dense.stats.max_words(Phase::Replication))
+        << to_string(kind);
+    EXPECT_TRUE(bit_identical(sparse.output, dense.output))
+        << to_string(kind);
+  }
+
+  const int p = 8;
+  const int c = 2;
+  const std::uint64_t block_words = 128 / p * 32;
+  const auto run = [&](Mode mode, ReplicationMode replication,
+                       PropagationMode propagation) {
+    AlgorithmOptions options;
+    options.replication = replication;
+    options.propagation = propagation;
+    auto algo = make_algorithm(AlgorithmKind::DenseShift15D, p, c, options);
+    return algo->run_kernel(mode, problem.s, problem.a, problem.b);
+  };
+  const auto expect_identical = [](const KernelResult& got,
+                                   const KernelResult& want,
+                                   const char* path) {
+    EXPECT_TRUE(bit_identical(got.dense, want.dense)) << path;
+    EXPECT_EQ(got.sddmm_values, want.sddmm_values) << path;
+  };
+
+  for (const Mode mode : {Mode::SDDMM, Mode::SpMMA}) {
+    const char* path = mode == Mode::SDDMM ? "row-sparse all-gather"
+                                           : "row-sparse reduce-scatter";
+    const auto dense =
+        run(mode, ReplicationMode::Dense, PropagationMode::Dense);
+    const auto sparse =
+        run(mode, ReplicationMode::Auto, PropagationMode::Dense);
+    EXPECT_GT(dense.stats.max_words(Phase::Replication), 0u) << path;
+    EXPECT_LT(sparse.stats.max_words(Phase::Replication),
+              dense.stats.max_words(Phase::Replication))
+        << path;
+    expect_identical(sparse, dense, path);
+  }
+
+  // Per rank: a message lighter than a whole block is a non-empty
+  // sparse hop; a missing message is a skipped hop.
+  const auto lighter_message = [&](const KernelResult& r) {
+    for (int rank = 0; rank < p; ++rank) {
+      const auto& counters = r.stats.rank(rank).phase(Phase::Propagation);
+      if (counters.words_sent < counters.messages_sent * block_words) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto skipped_message = [&](const KernelResult& got,
+                                   const KernelResult& dense) {
+    for (int rank = 0; rank < p; ++rank) {
+      if (got.stats.rank(rank).phase(Phase::Propagation).messages_sent <
+          dense.stats.rank(rank).phase(Phase::Propagation).messages_sent) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (const Mode mode : {Mode::SpMMA, Mode::SpMMB}) {
+    const char* path = mode == Mode::SpMMA ? "read-only column hops"
+                                           : "accumulator column hops";
+    const auto dense =
+        run(mode, ReplicationMode::Dense, PropagationMode::Dense);
+    const auto sparse =
+        run(mode, ReplicationMode::Dense, PropagationMode::Auto);
+    EXPECT_FALSE(lighter_message(dense)) << path;
+    EXPECT_TRUE(lighter_message(sparse)) << path;
+    EXPECT_LT(sparse.stats.max_words(Phase::Propagation),
+              dense.stats.max_words(Phase::Propagation))
+        << path;
+    if (mode == Mode::SpMMA) {
+      EXPECT_TRUE(skipped_message(sparse, dense)) << "empty-support hop";
+    }
+    expect_identical(sparse, dense, path);
   }
 }
 

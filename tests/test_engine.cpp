@@ -250,11 +250,9 @@ FuzzCase draw_case(Rng& rng) {
   fc.options.schedule = pick<ShiftSchedule>(
       rng, {ShiftSchedule::BulkSynchronous, ShiftSchedule::DoubleBuffered});
   fc.options.replication = pick<ReplicationMode>(
-      rng, {ReplicationMode::Dense, ReplicationMode::SparseRows,
-            ReplicationMode::Auto});
+      rng, {ReplicationMode::Dense, ReplicationMode::Auto});
   fc.options.propagation = pick<PropagationMode>(
-      rng, {PropagationMode::Dense, PropagationMode::SparseCols,
-            PropagationMode::Auto});
+      rng, {PropagationMode::Dense, PropagationMode::Auto});
   return fc;
 }
 

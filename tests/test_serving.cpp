@@ -92,9 +92,9 @@ TEST(Plan, ExecuteMatchesFreshCallsAcrossOptionCube) {
     for (const ShiftSchedule schedule :
          {ShiftSchedule::DoubleBuffered, ShiftSchedule::BulkSynchronous}) {
       for (const ReplicationMode replication :
-           {ReplicationMode::Dense, ReplicationMode::SparseRows}) {
+           {ReplicationMode::Dense, ReplicationMode::Auto}) {
         for (const PropagationMode propagation :
-             {PropagationMode::Dense, PropagationMode::SparseCols}) {
+             {PropagationMode::Dense, PropagationMode::Auto}) {
           AlgorithmOptions options;
           options.schedule = schedule;
           options.replication = replication;

@@ -1,5 +1,6 @@
 /// Wire-codec layer hardening (runtime/wire.hpp): round-trips for every
-/// message class under every precision x index-codec combination,
+/// message class under every precision x index-codec combination (and,
+/// through Auto, every private index-section encoding),
 /// adversarial support shapes, corrupt-message rejection (truncation,
 /// trailing garbage, tampered headers), quantization error bounds, the
 /// idempotence the multi-hop rings rely on, and the chunk-invariant
@@ -10,6 +11,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,9 +25,7 @@ namespace {
 
 constexpr WirePrecision kPrecisions[] = {
     WirePrecision::Full, WirePrecision::F32, WirePrecision::BF16};
-constexpr IndexCodec kIndexCodecs[] = {
-    IndexCodec::Raw, IndexCodec::DeltaVarint, IndexCodec::Bitmap,
-    IndexCodec::Auto};
+constexpr IndexCodec kIndexCodecs[] = {IndexCodec::Raw, IndexCodec::Auto};
 
 /// Per-value relative error ceiling of one quantization (round to
 /// nearest even): 2^-25 for f32's 24-bit mantissa, 2^-9 for bf16's
@@ -191,10 +193,10 @@ TEST(WireTripletsCodec, RejectsCorruptMessages) {
   }
 }
 
-/// Support shapes chosen to favor each codec: a lone row (Raw), a tight
-/// cluster (DeltaVarint), a dense support over a small block (Bitmap),
-/// and the adversarial two-endpoint support whose single huge gap costs
-/// the varint codec most.
+/// Support shapes chosen to favor each index section Auto can pick: a
+/// lone row (raw), a tight cluster (delta-varint), a dense support over
+/// a small block (bitmap), and the adversarial two-endpoint support
+/// whose single huge gap costs the varint encoding most.
 struct SupportCase {
   const char* name;
   Index block_rows;
@@ -218,29 +220,95 @@ std::vector<SupportCase> support_cases() {
   return cases;
 }
 
+/// The index-section sizes Auto chooses between, as closed forms: one
+/// word per index; the LEB128 bytes of the first index and the gaps,
+/// packed 8 per word; one bit per block row.
+struct SectionSizes {
+  std::uint64_t raw;
+  std::uint64_t varint;
+  std::uint64_t bitmap;
+};
+
+SectionSizes section_sizes(const SupportCase& sc) {
+  std::uint64_t bytes = 0;
+  for (std::size_t k = 0; k < sc.rows.size(); ++k) {
+    auto gap = static_cast<std::uint64_t>(
+        k == 0 ? sc.rows[0] : sc.rows[k] - sc.rows[k - 1]);
+    for (bytes += 1; gap >= 0x80; gap >>= 7) bytes += 1;
+  }
+  return {sc.rows.size(), (bytes + 7) / 8,
+          static_cast<std::uint64_t>((sc.block_rows + 63) / 64)};
+}
+
+const SupportCase& find_case(const std::vector<SupportCase>& cases,
+                             const std::string& name) {
+  for (const auto& sc : cases) {
+    if (name == sc.name) return sc;
+  }
+  throw std::runtime_error("no support case " + name);
+}
+
 TEST(WireIndexSections, AutoPicksTheSmallestAndNeverExceedsRaw) {
   for (const auto& sc : support_cases()) {
-    const std::uint64_t raw = encoded_index_words(
-        sc.rows, sc.block_rows, IndexCodec::Raw);
-    const std::uint64_t dv = encoded_index_words(
-        sc.rows, sc.block_rows, IndexCodec::DeltaVarint);
-    const std::uint64_t bm = encoded_index_words(
-        sc.rows, sc.block_rows, IndexCodec::Bitmap);
-    const std::uint64_t chosen = encoded_index_words(
-        sc.rows, sc.block_rows, IndexCodec::Auto);
-    EXPECT_EQ(chosen, std::min({raw, dv, bm})) << sc.name;
-    EXPECT_LE(chosen, raw) << sc.name;
-    EXPECT_EQ(raw, sc.rows.size()) << sc.name;
-    // Tie order: Raw beats both byte codecs, DeltaVarint beats Bitmap.
-    const IndexCodec pick =
-        choose_index_codec(sc.rows, sc.block_rows, IndexCodec::Auto);
-    if (raw <= dv && raw <= bm) {
-      EXPECT_EQ(pick, IndexCodec::Raw) << sc.name;
-    } else if (dv <= bm) {
-      EXPECT_EQ(pick, IndexCodec::DeltaVarint) << sc.name;
-    } else {
-      EXPECT_EQ(pick, IndexCodec::Bitmap) << sc.name;
-    }
+    const SectionSizes size = section_sizes(sc);
+    EXPECT_EQ(encoded_index_words(sc.rows, sc.block_rows, IndexCodec::Raw),
+              size.raw)
+        << sc.name;
+    EXPECT_EQ(encoded_index_words(sc.rows, sc.block_rows, IndexCodec::Auto),
+              std::min({size.raw, size.varint, size.bitmap}))
+        << sc.name;
+  }
+}
+
+/// Auto must keep reaching both private sections: on the cluster
+/// support the delta-varint section is strictly the smallest, on the
+/// dense small block the bitmap is. Either way the message is strictly
+/// smaller than under Raw indices and decodes bit-identically to it.
+TEST(WireIndexSections, AutoReachesDeltaVarintAndBitmapSections) {
+  const auto cases = support_cases();
+  const Index width = 3;
+  for (const char* name : {"cluster", "full"}) {
+    const SupportCase& sc = find_case(cases, name);
+    const SectionSizes size = section_sizes(sc);
+    const bool varint = std::string(name) == "cluster";
+    const std::uint64_t winner = varint ? size.varint : size.bitmap;
+    EXPECT_LT(winner, size.raw) << name;
+    EXPECT_LT(winner, varint ? size.bitmap : size.varint) << name;
+    EXPECT_EQ(encoded_index_words(sc.rows, sc.block_rows, IndexCodec::Auto),
+              winner)
+        << name;
+
+    const auto values = gaussian_values(
+        static_cast<std::size_t>(sc.block_rows * width), 71);
+    MessageWords image(values.size());
+    std::memcpy(image.data(), values.data(),
+                values.size() * sizeof(Scalar));
+    const WireCodec raw{WirePrecision::Full, IndexCodec::Raw};
+    const WireCodec best{WirePrecision::Full, IndexCodec::Auto};
+    const auto raw_words =
+        encode_cols_block(image, sc.block_rows, width, sc.rows, raw);
+    const auto auto_words =
+        encode_cols_block(image, sc.block_rows, width, sc.rows, best);
+    EXPECT_EQ(raw_words.size() - auto_words.size(), size.raw - winner)
+        << name;
+    EXPECT_EQ(decode_cols_block(auto_words, sc.block_rows, width, sc.rows,
+                                best),
+              decode_cols_block(raw_words, sc.block_rows, width, sc.rows,
+                                raw))
+        << name;
+
+    const auto row_values = gaussian_values(
+        sc.rows.size() * static_cast<std::size_t>(width), 72);
+    const auto raw_rows = encode_rows_chunk(
+        sc.rows, 0, sc.rows.size(), sc.block_rows, width, row_values, raw);
+    const auto auto_rows = encode_rows_chunk(
+        sc.rows, 0, sc.rows.size(), sc.block_rows, width, row_values, best);
+    EXPECT_EQ(raw_rows.size() - auto_rows.size(), size.raw - winner)
+        << name;
+    EXPECT_EQ(decode_rows_chunk(auto_rows, sc.rows, 0, sc.rows.size(),
+                                sc.block_rows, width, best),
+              row_values)
+        << name;
   }
 }
 
@@ -304,40 +372,46 @@ TEST(WireColsBlock, EmptySupportSendsNothing) {
 TEST(WireColsBlock, RejectsCorruptMessages) {
   const Index block_rows = 128;
   const Index width = 2;
-  const std::vector<Index> cols = {3, 64, 100};
+  // Under Auto the scattered support rides a delta-varint section and
+  // the dense prefix a bitmap, so both private sections are tampered.
+  std::vector<Index> dense_prefix(40);
+  std::iota(dense_prefix.begin(), dense_prefix.end(), Index{0});
   const auto values = gaussian_values(
       static_cast<std::size_t>(block_rows * width), 91);
   MessageWords image(values.size());
   std::memcpy(image.data(), values.data(), values.size() * sizeof(Scalar));
-  for (const IndexCodec index_codec : kIndexCodecs) {
-    const WireCodec codec{WirePrecision::BF16, index_codec};
-    const auto good = encode_cols_block(image, block_rows, width, cols,
-                                        codec);
-    ASSERT_NO_THROW(decode_cols_block(good, block_rows, width, cols,
-                                      codec));
-    auto tampered = good;
-    tampered.push_back(0); // trailing garbage
-    EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
-                                   codec),
-                 Error);
-    tampered = good;
-    tampered.pop_back(); // truncated payload
-    EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
-                                   codec),
-                 Error);
-    tampered = good;
-    tampered[0] += 1; // count disagrees with the support table
-    EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
-                                   codec),
-                 Error);
-    tampered = good;
-    tampered[1] ^= 1; // index section disagrees with the support table
-    EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
-                                   codec),
-                 Error);
-    EXPECT_THROW(decode_cols_block(MessageWords{}, block_rows, width,
-                                   cols, codec),
-                 Error);
+  for (const std::vector<Index>& cols :
+       {std::vector<Index>{3, 64, 100}, dense_prefix}) {
+    for (const IndexCodec index_codec : kIndexCodecs) {
+      const WireCodec codec{WirePrecision::BF16, index_codec};
+      const auto good = encode_cols_block(image, block_rows, width, cols,
+                                          codec);
+      ASSERT_NO_THROW(decode_cols_block(good, block_rows, width, cols,
+                                        codec));
+      auto tampered = good;
+      tampered.push_back(0); // trailing garbage
+      EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
+                                     codec),
+                   Error);
+      tampered = good;
+      tampered.pop_back(); // truncated payload
+      EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
+                                     codec),
+                   Error);
+      tampered = good;
+      tampered[0] += 1; // count disagrees with the support table
+      EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
+                                     codec),
+                   Error);
+      tampered = good;
+      tampered[1] ^= 1; // index section disagrees with the support table
+      EXPECT_THROW(decode_cols_block(tampered, block_rows, width, cols,
+                                     codec),
+                   Error);
+      EXPECT_THROW(decode_cols_block(MessageWords{}, block_rows, width,
+                                     cols, codec),
+                   Error);
+    }
   }
 }
 

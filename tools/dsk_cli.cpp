@@ -68,15 +68,15 @@ constexpr FlagSpec kFlags[] = {
      "embedding width (serve: ALS rank)"},
     {"--seed", "N", FlagScope::Common, "1", "RNG seed"},
     {"--replication", "MODE", FlagScope::Common, "dense",
-     "dense | sparse | auto: how fiber collectives move A-side rows"},
+     "dense | auto: how fiber collectives move A-side rows"},
     {"--propagation", "MODE", FlagScope::Common, "dense",
-     "dense | sparse | auto: how cyclic shifts move dense B-side blocks"},
+     "dense | auto: how cyclic shifts move dense B-side blocks"},
     {"--schedule", "NAME", FlagScope::Common, "db",
      "db | bsp: propagation engine (both bit-identical)"},
     {"--wire-precision", "PREC", FlagScope::Common, "full",
      "full | f32 | bf16: value precision on the wire (lossy below full)"},
     {"--index-codec", "CODEC", FlagScope::Common, "raw",
-     "raw | delta-varint | bitmap | auto: support-index header encoding"},
+     "raw | auto: support-index header encoding"},
     {"--faults", "SPEC", FlagScope::Common, "",
      "deterministic fault plan, e.g. \"seed=7,drop=0.02,crash=3@prop:2\""},
     {"--checkpoint-interval", "N", FlagScope::Common, "0",
@@ -290,16 +290,16 @@ Elision parse_elision(const std::string& name) {
 
 ReplicationMode parse_replication(const std::string& name) {
   if (name == "dense") return ReplicationMode::Dense;
-  if (name == "sparse") return ReplicationMode::SparseRows;
   if (name == "auto") return ReplicationMode::Auto;
-  usage_and_exit(("unknown replication mode " + name).c_str());
+  usage_and_exit(
+      ("unknown replication mode " + name + " (dense | auto)").c_str());
 }
 
 PropagationMode parse_propagation(const std::string& name) {
   if (name == "dense") return PropagationMode::Dense;
-  if (name == "sparse") return PropagationMode::SparseCols;
   if (name == "auto") return PropagationMode::Auto;
-  usage_and_exit(("unknown propagation mode " + name).c_str());
+  usage_and_exit(
+      ("unknown propagation mode " + name + " (dense | auto)").c_str());
 }
 
 WirePrecision parse_wire_precision(const std::string& name) {
@@ -311,10 +311,8 @@ WirePrecision parse_wire_precision(const std::string& name) {
 
 IndexCodec parse_index_codec(const std::string& name) {
   if (name == "raw") return IndexCodec::Raw;
-  if (name == "delta-varint") return IndexCodec::DeltaVarint;
-  if (name == "bitmap") return IndexCodec::Bitmap;
   if (name == "auto") return IndexCodec::Auto;
-  usage_and_exit(("unknown index codec " + name).c_str());
+  usage_and_exit(("unknown index codec " + name + " (raw | auto)").c_str());
 }
 
 ShiftSchedule parse_schedule(const std::string& name) {
